@@ -14,30 +14,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import SaturatedCover
-from .paths import IndexInterval, interval_contains, intervals_intersect, turn_fraction
+from .paths import IndexInterval, interval_contains, intervals_intersect
 
-phi = turn_fraction  # angular position of one path index, exact fraction of a turn
+
+def phi(k: int, n: int) -> Fraction:
+    """Angular position of index k on a path with max index n, as an exact
+    fraction of a full turn: k/(n+1)."""
+    if not 0 <= k <= n:
+        raise ValueError(f"index {k} outside [0, {n}]")
+    return Fraction(k, n + 1)
 
 
 @dataclass(frozen=True)
 class CircularArc:
-    """Arc swept positively from start_angle to end_angle; angles are exact
-    fractions of a full turn and may wrap past 1 (taken mod 1)."""
+    """Arc of the unit circle from phi(start) to phi(end) of an index
+    interval, swept positively (it may wrap past angle 0)."""
 
-    start_angle: Fraction
-    end_angle: Fraction
     interval: IndexInterval
     n_points: int
-
-    @classmethod
-    def from_interval(cls, iv: IndexInterval, n_points: int) -> "CircularArc":
-        n = n_points - 1
-        return cls(
-            start_angle=turn_fraction(iv.start, n),
-            end_angle=turn_fraction(iv.end(n_points), n),
-            interval=iv,
-            n_points=n_points,
-        )
 
     def contains(self, other: "CircularArc", closed: bool) -> bool:
         return interval_contains(self.n_points, closed, self.interval, other.interval)
@@ -85,25 +79,15 @@ class ArcGraph:
 
 
 def build_arc_graph(cover: SaturatedCover) -> ArcGraph:
-    """One arc per cover segment; edges between arcs sharing at least one
-    angle (touching endpoints count)."""
-    closed = cover.closed
-    arcs = tuple(CircularArc.from_interval(iv, cover.n_points) for iv in cover.segments)
-    edges = []
-    proper = True
-    for u in range(len(arcs)):
-        for v in range(u + 1, len(arcs)):
-            if arcs[u].intersects(arcs[v], closed):
-                edges.append((u, v))
-            if arcs[u].contains(arcs[v], closed) or arcs[v].contains(arcs[u], closed):
-                proper = False
-    return ArcGraph(arcs, tuple(edges), proper, interval=not closed)
+    """One arc per cover segment."""
+    return arc_graph_from_intervals(cover.segments, cover.n_points, cover.closed)
 
 
 def arc_graph_from_intervals(intervals, n_points: int, closed: bool) -> ArcGraph:
-    """Arc graph of arbitrary intervals (not necessarily a saturated cover);
-    mainly for exercising the proper/containment detector."""
-    arcs = tuple(CircularArc.from_interval(IndexInterval(*iv), n_points) for iv in intervals)
+    """Arc graph of arbitrary intervals (not necessarily a saturated cover):
+    edges between arcs sharing at least one angle (touching endpoints
+    count); `proper` reports whether any arc contains another."""
+    arcs = tuple(CircularArc(IndexInterval(*iv), n_points) for iv in intervals)
     edges = []
     proper = True
     for u in range(len(arcs)):

@@ -73,8 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--adjacency", choices=("4", "8"), default="8")
     p_trace.add_argument("--out-dir", default=None, help="output directory (default: alongside input)")
     p_trace.add_argument("--emit-graph", action="store_true", help="also write curve-graph JSON")
-    p_trace.add_argument("--jobs", type=int, default=1,
-                         help="trace components in a process pool of this size")
     p_trace.add_argument("--svg", default=None, help="render image, junctions and paths to SVG")
 
     p_cover = sub.add_parser("cover", help="saturated cover of a path JSON")
@@ -127,7 +125,7 @@ def _cmd_trace(args) -> int:
         return EXIT_BAD_INPUT
     adjacency = Adjacency.from_code(args.adjacency)
     try:
-        traces = trace_image(img, adjacency, jobs=max(1, args.jobs))
+        traces = trace_image(img, adjacency)
     except OddVerticesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CPP_CAP
@@ -210,9 +208,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_probe(args) -> int:
     spec = _spec_from_args(args)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     adjacency = Adjacency.from_code(args.adjacency)
     try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
         factory = synth.shape_factory(args.shape, adjacency, seed=args.seed,
                                       closed=args.closed)
     except ValueError as exc:

@@ -62,49 +62,40 @@ class SaturatedCover:
         )
 
 
-class _Calls:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
-class _Counted:
-    """Recognizer wrapper that counts predicate evaluations."""
-
-    __slots__ = ("rec", "calls")
-
-    def __init__(self, rec: Recognizer, calls: _Calls):
-        self.rec = rec
-        self.calls = calls
-
-    def reset(self, index: int) -> bool:
-        self.calls.n += 1
-        return self.rec.reset(index)
-
-    def try_extend_positive(self) -> bool:
-        self.calls.n += 1
-        return self.rec.try_extend_positive()
-
-    def try_extend_negative(self) -> bool:
-        self.calls.n += 1
-        return self.rec.try_extend_negative()
-
-    def remove_negative_end(self) -> None:
-        self.rec.remove_negative_end()
-
-    def holds(self, iv: IndexInterval) -> bool:
-        self.calls.n += 1
-        return self.rec.holds(iv)
-
-    @property
-    def length(self) -> int:
-        return self.rec.length
-
-
-def _finish(path, spec, keys, calls) -> SaturatedCover:
+def _finish(path, spec, keys, *recs: Recognizer) -> SaturatedCover:
     segments = tuple(IndexInterval(s, l) for s, l in sorted(keys))
-    return SaturatedCover(path.n_points, path.closed, spec, segments, calls.n)
+    calls = sum(rec.calls for rec in recs)
+    return SaturatedCover(path.n_points, path.closed, spec, segments, calls)
+
+
+def _seed(rec: Recognizer, t: int, limit: int) -> int:
+    """Reset `rec` at t, t+1, ... (mod n) until the singleton holds; returns
+    that index, or `limit` when every singleton before it fails."""
+    n1 = rec.n_points
+    while t < limit and not rec.reset(t % n1):
+        t += 1
+    return t
+
+
+def _restart(rec: Recognizer, probe: Recognizer, q: int, limit: int) -> Optional[tuple[int, int]]:
+    """Move the window of `rec`, whose positive end is q - 1, on past q.
+
+    When the singleton at q holds, shrink from the negative side until the
+    extension to q holds again and return the new (start, end = q).
+    Otherwise seed afresh past q and return (t, t) with t > q, or None when
+    the seed scan reaches `limit`.
+    """
+    if not probe.reset(q % rec.n_points):
+        t = _seed(rec, q + 1, limit)
+        return None if t >= limit else (t, t)
+    i = q - rec.length
+    while rec.length > 1:
+        rec.remove_negative_end()
+        i += 1
+        if rec.try_extend_positive():
+            return i, q
+    rec.reset(q % rec.n_points)  # known true from the probe
+    return q, q
 
 
 def saturated_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
@@ -115,20 +106,17 @@ def saturated_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
     Returns exactly the saturated subpaths of a conservative predicate.
     """
     n1 = path.n_points
-    calls = _Calls()
-    rec = _Counted(make_recognizer(spec, path), calls)
-    probe = _Counted(make_recognizer(spec, path), calls)
+    rec = make_recognizer(spec, path)
+    probe = make_recognizer(spec, path)
     keys: dict[tuple[int, int], None] = {}
     closed = path.closed
 
-    # initial seed scan
-    t = 0
-    while t < n1 and not rec.reset(t):
-        t += 1
+    t = _seed(rec, 0, n1)
     if t == n1:
-        return _finish(path, spec, keys, calls)  # predicate false on every singleton
+        return _finish(path, spec, keys, rec, probe)  # predicate false on every singleton
 
-    scan_limit = t + n1  # on closed paths the seed scan may wrap this far
+    # on closed paths the seed scan may wrap this far
+    limit = t + n1 if closed else n1
     i = j = t
     pos_ok = neg_ok = True
     guard = t + 3 * n1 + 3
@@ -161,44 +149,25 @@ def saturated_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
 
         length = j - i + 1
         if closed and length == n1:
-            keys.clear()
-            keys[(0, n1)] = None  # the whole circle, canonical start 0
-            return _finish(path, spec, keys, calls)
+            # the whole circle, canonical start 0
+            return _finish(path, spec, {(0, n1): None}, rec, probe)
         key = (i % n1, length)
         if key in keys:
-            return _finish(path, spec, keys, calls)  # wrapped around: sweep done
+            return _finish(path, spec, keys, rec, probe)  # wrapped around: sweep done
         keys[key] = None
 
-        # Restart
         q = j + 1
         if not closed and q >= n1:
-            return _finish(path, spec, keys, calls)
+            return _finish(path, spec, keys, rec, probe)
         if q > guard:
             raise AssertionError("cover sweep failed to terminate")
-        if not probe.reset(q % n1):
-            # the new endpoint's singleton fails: scan for the next seed
-            t = q + 1
-            limit = n1 if not closed else scan_limit
-            while t < limit and not rec.reset(t % n1):
-                t += 1
-            if t >= limit:
-                return _finish(path, spec, keys, calls)
-            i = j = t
-            pos_ok = neg_ok = True
-            continue
-        # shrink S+ from the negative side until the predicate holds again
-        while True:
-            if rec.length == 1:
-                rec.reset(q % n1)  # known true from the probe
-                i = j = q
-                break
-            rec.remove_negative_end()
-            i += 1
-            if rec.try_extend_positive():
-                j = q
-                break
-        # the shrink's last failure rules the negative side out for good
-        pos_ok, neg_ok = True, False
+        window = _restart(rec, probe, q, limit)
+        if window is None:
+            return _finish(path, spec, keys, rec, probe)
+        i, j = window
+        # a fresh seed past q may grow both ways; after a shrink, the
+        # shrink's last failure rules the negative side out for good
+        pos_ok, neg_ok = True, i > q
 
 
 def forward_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
@@ -210,20 +179,17 @@ def forward_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
     segment contains it.
     """
     n1 = path.n_points
-    calls = _Calls()
-    rec = _Counted(make_recognizer(spec, path), calls)
-    probe = _Counted(make_recognizer(spec, path), calls)
+    rec = make_recognizer(spec, path)
+    probe = make_recognizer(spec, path)
     keys: dict[tuple[int, int], None] = {}
     closed = path.closed
     first_key: Optional[tuple[int, int]] = None
 
-    t = 0
-    while t < n1 and not rec.reset(t):
-        t += 1
+    t = _seed(rec, 0, n1)
     if t == n1:
-        return _finish(path, spec, keys, calls)
+        return _finish(path, spec, keys, rec, probe)
 
-    scan_limit = t + n1
+    limit = t + n1 if closed else n1
     s = j = t
     first_end: Optional[int] = None
 
@@ -231,7 +197,7 @@ def forward_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
         while rec.length < n1 and (closed or j < n1 - 1) and rec.try_extend_positive():
             j += 1
         if closed and rec.length == n1:
-            return _finish(path, spec, {(0, n1): None}, calls)
+            return _finish(path, spec, {(0, n1): None}, rec, probe)
         key = (s % n1, j - s + 1)
         if key in keys:
             break
@@ -244,25 +210,10 @@ def forward_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
             break
         if closed and q > first_end + n1:
             break  # one full wrap past the first recognized segment
-        if not probe.reset(q % n1):
-            t = q + 1
-            limit = n1 if not closed else scan_limit
-            while t < limit and not rec.reset(t % n1):
-                t += 1
-            if t >= limit:
-                break
-            s = j = t
-            continue
-        while True:
-            if rec.length == 1:
-                rec.reset(q % n1)
-                s = j = q
-                break
-            rec.remove_negative_end()
-            s += 1
-            if rec.try_extend_positive():
-                j = q
-                break
+        window = _restart(rec, probe, q, limit)
+        if window is None:
+            break
+        s, j = window
 
     if closed and first_key is not None and len(keys) > 1:
         first_iv = IndexInterval(*first_key)
@@ -270,7 +221,7 @@ def forward_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
             if other != first_key and interval_contains(n1, True, IndexInterval(*other), first_iv):
                 del keys[first_key]
                 break
-    return _finish(path, spec, keys, calls)
+    return _finish(path, spec, keys, rec, probe)
 
 
 def brute_force_cover(
@@ -291,8 +242,7 @@ def brute_force_cover(
     n1 = path.n_points
     if n1 > max_points:
         raise CoverCapError(f"path has {n1} points, above the brute-force cap {max_points}")
-    calls = _Calls()
-    rec = _Counted(make_recognizer(spec, path), calls)
+    rec = make_recognizer(spec, path)
     closed = path.closed
 
     if literal:
@@ -300,23 +250,23 @@ def brute_force_cover(
         if closed and any(iv.length == n1 for iv in true_ivs):
             # full-turn intervals at every start share one index set; the
             # whole circle is the single saturated subpath, start 0 canonical
-            return _finish(path, spec, {(0, n1): None}, calls)
+            return _finish(path, spec, {(0, n1): None}, rec)
         keys = {}
         for iv in true_ivs:
             if any(o != iv and interval_contains(n1, closed, o, iv) for o in true_ivs):
                 continue
             keys[(iv.start, iv.length)] = None
-        return _finish(path, spec, keys, calls)
+        return _finish(path, spec, keys, rec)
 
     lmax = [0] * n1
-    for s in range(n1):
-        if not rec.reset(s):
-            continue
+    s = _seed(rec, 0, n1)
+    while s < n1:
         while rec.try_extend_positive():
             pass
         lmax[s] = rec.length
+        s = _seed(rec, s + 1, n1)
     if closed and any(L == n1 for L in lmax):
-        return _finish(path, spec, {(0, n1): None}, calls)
+        return _finish(path, spec, {(0, n1): None}, rec)
     keys = {}
     for s in range(n1):
         L = lmax[s]
@@ -327,7 +277,7 @@ def brute_force_cover(
             continue
         if lmax[(s - 1) % n1] <= L:  # (s-1 .. s+L-1) is false: negative end is stuck
             keys[(s, L)] = None
-    return _finish(path, spec, keys, calls)
+    return _finish(path, spec, keys, rec)
 
 
 def segment_is_saturated(path: DigitalPath, spec: PredicateSpec, iv: IndexInterval) -> bool:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
 Point = tuple[int, int]
@@ -86,12 +85,6 @@ class DigitalPath:
     @property
     def n_points(self) -> int:
         return len(self.points)
-
-    def point(self, index: int) -> Point:
-        """Point at index, modulo the length for closed paths."""
-        if self.closed:
-            return self.points[index % len(self.points)]
-        return self.points[index]
 
 
 @dataclass(frozen=True)
@@ -236,14 +229,6 @@ def canonical_extension(path: DigitalPath, t: float) -> tuple[float, float]:
     p = pts[k % n1]
     q = pts[(k + 1) % n1]
     return (p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1]))
-
-
-def turn_fraction(k: int, n: int) -> Fraction:
-    """Angular position of index k on a path with max index n, as an exact
-    fraction of a full turn: k/(n+1)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"index {k} outside [0, {n}]")
-    return Fraction(k, n + 1)
 
 
 # ---------------------------------------------------------------------------

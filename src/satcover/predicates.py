@@ -49,11 +49,16 @@ class Recognizer:
     fails leaving the state unchanged.  `remove_negative_end` drops the
     first point; subclasses that cannot do this in O(1) re-derive their
     state in O(length), which is noted per predicate.
+
+    `calls` counts predicate evaluations: one per `reset`, one per
+    `try_extend_*` (successful or not) and one per `holds`.  Removals are
+    state maintenance and do not count.
     """
 
     def __init__(self, path: DigitalPath):
         self.path = path
         self.n_points = path.n_points
+        self.calls = 0
         self._start = 0  # unwrapped; may leave [0, n] on closed paths
         self._length = 0
 
@@ -87,6 +92,7 @@ class Recognizer:
     def reset(self, index: int) -> bool:
         """Represent the singleton at `index`; False if the predicate fails there
         (the state is then empty and must be reset again before use)."""
+        self.calls += 1
         self._start = index
         self._length = 0
         ok = self._on_reset(index % self.n_points, self.path.points[index % self.n_points])
@@ -95,6 +101,7 @@ class Recognizer:
         return ok
 
     def try_extend_positive(self) -> bool:
+        self.calls += 1
         if self._length == 0:
             return False
         nxt = self._start + self._length
@@ -110,6 +117,7 @@ class Recognizer:
         return False
 
     def try_extend_negative(self) -> bool:
+        self.calls += 1
         if self._length == 0:
             return False
         nxt = self._start - 1
@@ -135,10 +143,17 @@ class Recognizer:
         self._length -= 1
 
     def holds(self, iv: IndexInterval) -> bool:
-        """Stateless evaluation: replay the interval from its start.
+        """Stateless evaluation, counted as one call whatever it replays.
 
         Re-targets this recognizer (the previous state is discarded).
         """
+        calls = self.calls
+        ok = self._holds(iv)
+        self.calls = calls + 1
+        return ok
+
+    def _holds(self, iv: IndexInterval) -> bool:
+        """Replay the interval from its start."""
         if not self.reset(iv.start):
             return False
         for _ in range(iv.length - 1):
@@ -538,9 +553,6 @@ class ContainsStartRecognizer(Recognizer):
     detect, and must not be fed to the cover algorithms.
     """
 
-    def _covers_zero(self, start: int, length: int) -> bool:
-        return (0 - start) % self.n_points < length
-
     def _on_reset(self, index, p):
         return index == 0
 
@@ -550,8 +562,8 @@ class ContainsStartRecognizer(Recognizer):
     def _on_remove(self, index, p, opening):
         pass
 
-    def holds(self, iv: IndexInterval) -> bool:
-        return self._covers_zero(iv.start, iv.length)
+    def _holds(self, iv: IndexInterval) -> bool:
+        return -iv.start % self.n_points < iv.length
 
 
 # ---------------------------------------------------------------------------

@@ -52,24 +52,49 @@ def pixel_kind(index: int) -> str:
     return "branching"
 
 
+# Neighbour offsets in sorted order: adding p keeps their lexicographic
+# order, so p's neighbours come out as sorted(neighbours(p, adjacency)).
+_SORTED_OFFSETS = {adj: tuple(sorted(neighbours((0, 0), adj)))
+                   for adj in (Adjacency.FOUR, Adjacency.EIGHT)}
+
+
+def _bfs(seed: Point, inside, adjacency: Adjacency,
+         goal: Optional[Point] = None) -> dict[Point, Optional[Point]]:
+    """Breadth-first search from seed through the pixels of `inside`, trying
+    neighbours in sorted order.  Returns the search-tree parent of every
+    reached pixel (None for the seed) in visit order, so each pixel's
+    children appear sorted; stops once `goal` is dequeued."""
+    offsets = _SORTED_OFFSETS[adjacency]
+    parent: dict[Point, Optional[Point]] = {seed: None}
+    queue = deque([seed])
+    while queue:
+        u = queue.popleft()
+        if u == goal:
+            break
+        x, y = u
+        for dx, dy in offsets:
+            q = (x + dx, y + dy)
+            if q in inside and q not in parent:
+                parent[q] = u
+                queue.append(q)
+    return parent
+
+
+def _connected_sets(pixels, adjacency: Adjacency) -> list[frozenset[Point]]:
+    """Connected subsets of `pixels`, sorted by their smallest pixel."""
+    out = []
+    seen: set[Point] = set()
+    for seed in sorted(pixels):
+        if seed not in seen:
+            comp = frozenset(_bfs(seed, pixels, adjacency))
+            seen |= comp
+            out.append(comp)
+    return out
+
+
 def components(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
     """Connected components of the foreground, sorted by their smallest pixel."""
-    todo = set(img.foreground)
-    comps = []
-    while todo:
-        seed = min(todo)
-        comp = {seed}
-        queue = deque([seed])
-        todo.remove(seed)
-        while queue:
-            p = queue.popleft()
-            for q in neighbours(p, adjacency):
-                if q in todo:
-                    todo.remove(q)
-                    comp.add(q)
-                    queue.append(q)
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+    return _connected_sets(img.foreground, adjacency)
 
 
 @dataclass(frozen=True)
@@ -82,22 +107,9 @@ class Junction:
 
 
 def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[Junction]:
-    bidx = {p: branching_index(img, p, adjacency) for p in img.foreground}
-    branching = {p for p, k in bidx.items() if k >= 3}
+    branching = {p for p in img.foreground if branching_index(img, p, adjacency) >= 3}
     out = []
-    todo = set(branching)
-    while todo:
-        seed = min(todo)
-        comp = {seed}
-        queue = deque([seed])
-        todo.remove(seed)
-        while queue:
-            p = queue.popleft()
-            for q in neighbours(p, adjacency):
-                if q in todo:
-                    todo.remove(q)
-                    comp.add(q)
-                    queue.append(q)
+    for comp in _connected_sets(branching, adjacency):
         # attachment count: adjacent foreground outside the junction (all of
         # it is end/regular, since adjacent branching pixels would have been
         # merged into the component)
@@ -106,8 +118,8 @@ def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[Junction]:
             for q in neighbours(p, adjacency):
                 if q in img.foreground and q not in comp:
                     ring.add(q)
-        out.append(Junction(frozenset(comp), len(ring)))
-    return sorted(out, key=lambda j: min(j.pixels))
+        out.append(Junction(comp, len(ring)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +233,6 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
     if len(comps) != 1:
         raise TraceError(f"expected a single connected component, found {len(comps)}")
 
-    bidx = {p: branching_index(img, p, adjacency) for p in img.foreground}
     junctions = find_junctions(img, adjacency)
     junction_of: dict[Point, int] = {}
 
@@ -231,22 +242,23 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
     for jid, j in enumerate(junctions):
         for p in j.pixels:
             junction_of[p] = jid
-    end_vertex: dict[Point, int] = {}
-    for p in sorted(q for q, k in bidx.items() if k == 1):
-        end_vertex[p] = len(vertices)
-        vertices.append(Vertex("end", (p,)))
 
     junction_pixels = set(junction_of)
     simplified = frozenset(img.foreground - junction_pixels)
-    edges: list[Edge] = []
-
-    chain_comps = []
+    chains = []
     if simplified:
         sub = BinaryImage(img.width, img.height, simplified)
-        chain_comps = components(sub, adjacency)
+        chains = [_order_chain(comp, adjacency) for comp in components(sub, adjacency)]
 
-    for comp in chain_comps:
-        chain, cycle = _order_chain(comp, adjacency)
+    # an end pixel (one foreground neighbour) can only be the end of an open chain
+    chain_ends = {p for chain, cycle in chains if not cycle for p in (chain[0], chain[-1])}
+    end_vertex: dict[Point, int] = {}
+    for p in sorted(p for p in chain_ends if branching_index(img, p, adjacency) == 1):
+        end_vertex[p] = len(vertices)
+        vertices.append(Vertex("end", (p,)))
+
+    edges: list[Edge] = []
+    for chain, cycle in chains:
         if cycle:
             if junctions:
                 raise AssertionError("cycle component in an image with junctions")
@@ -257,7 +269,7 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
 
         def port(pixel: Point, inner: Optional[Point]) -> tuple[int, bool]:
             # -> (vertex id, strip pixel from the edge list?)
-            if bidx[pixel] == 1:
+            if pixel in end_vertex:
                 return end_vertex[pixel], True
             outward = [q for q in neighbours(pixel, adjacency)
                        if q in junction_pixels and q != inner]
@@ -267,7 +279,7 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
 
         if len(chain) == 1:
             p = chain[0]
-            if bidx[p] == 1:
+            if p in end_vertex:
                 u = end_vertex[p]
                 out = sorted(q for q in neighbours(p, adjacency) if q in junction_pixels)
                 if not out:
@@ -352,7 +364,10 @@ def _min_weight_matching(odd: list[int], dist: dict[int, list]) -> list[tuple[in
     return pairs
 
 
-def eulerize(g: CurveGraph, max_odd: int = 20) -> CurveGraph:
+MAX_ODD = 20  # odd-vertex cap of the exact bitmask matching
+
+
+def eulerize(g: CurveGraph) -> CurveGraph:
     """Duplicate edges along minimum-weight shortest paths pairing up the
     odd-degree vertices (edge weight = pixel count + 2), so that every
     vertex ends up with even degree.  The copies mark back-and-forth use."""
@@ -361,9 +376,9 @@ def eulerize(g: CurveGraph, max_odd: int = 20) -> CurveGraph:
     odd = g.odd_vertices()
     if not odd:
         return g
-    if len(odd) > max_odd:
+    if len(odd) > MAX_ODD:
         raise OddVerticesError(
-            f"{len(odd)} odd vertices exceed the exact matching cap of {max_odd}")
+            f"{len(odd)} odd vertices exceed the exact matching cap of {MAX_ODD}")
     dist = {}
     pred = {}
     for s in odd:
@@ -459,62 +474,8 @@ class EmitResult:
     runs: tuple[Run, ...]
 
 
-def _junction_tree_walk(pixels: frozenset[Point], entry: Point, exit_: Point,
-                        adjacency: Adjacency) -> list[Point]:
-    """Walk visiting every junction pixel, starting at entry, ending at exit_:
-    a spanning-tree traversal that descends the entry-to-exit spine last and
-    does not climb back out of it (at most 2*|pixels| points)."""
-    parent = {entry: None}
-    order = deque([entry])
-    while order:
-        u = order.popleft()
-        for q in sorted(neighbours(u, adjacency)):
-            if q in pixels and q not in parent:
-                parent[q] = u
-                order.append(q)
-    if exit_ not in parent:
-        raise EmitError(f"junction pixels are not connected between {entry} and {exit_}")
-    children: dict[Point, list[Point]] = {p: [] for p in parent}
-    for q, u in parent.items():
-        if u is not None:
-            children[u].append(q)
-    spine_next: dict[Point, Point] = {}
-    cur = exit_
-    while parent[cur] is not None:
-        spine_next[parent[cur]] = cur
-        cur = parent[cur]
-
-    out: list[Point] = []
-
-    def visit(u: Point) -> None:
-        out.append(u)
-        spine = spine_next.get(u)
-        for c in sorted(children[u]):
-            if c == spine:
-                continue
-            visit(c)
-            out.append(u)
-        if spine is not None:
-            visit(spine)
-
-    visit(entry)
-    return out
-
-
-def _junction_shortest(pixels: frozenset[Point], entry: Point, exit_: Point,
-                       adjacency: Adjacency) -> list[Point]:
-    if entry == exit_:
-        return [entry]
-    parent = {entry: None}
-    queue = deque([entry])
-    while queue:
-        u = queue.popleft()
-        if u == exit_:
-            break
-        for q in sorted(neighbours(u, adjacency)):
-            if q in pixels and q not in parent:
-                parent[q] = u
-                queue.append(q)
+def _route(parent: dict[Point, Optional[Point]], entry: Point, exit_: Point) -> list[Point]:
+    """Search-tree path from the search's seed `entry` to exit_."""
     if exit_ not in parent:
         raise EmitError(f"junction pixels are not connected between {entry} and {exit_}")
     route = [exit_]
@@ -522,6 +483,44 @@ def _junction_shortest(pixels: frozenset[Point], entry: Point, exit_: Point,
         route.append(parent[route[-1]])
     route.reverse()
     return route
+
+
+def _junction_tree_walk(pixels: frozenset[Point], entry: Point, exit_: Point,
+                        adjacency: Adjacency) -> list[Point]:
+    """Walk visiting every junction pixel, starting at entry, ending at exit_:
+    a spanning-tree traversal that descends the entry-to-exit spine last and
+    does not climb back out of it (at most 2*|pixels| points)."""
+    parent = _bfs(entry, pixels, adjacency)
+    spine = _route(parent, entry, exit_)
+    spine_next = dict(zip(spine, spine[1:]))
+    children: dict[Point, list[Point]] = {p: [] for p in parent}
+    for q, u in parent.items():
+        if u is not None and spine_next.get(u) != q:
+            children[u].append(q)
+
+    out = [entry]
+    stack = [(entry, iter(children[entry]))]
+    while stack:
+        u, todo = stack[-1]
+        c = next(todo, None)
+        if c is not None:
+            out.append(c)
+            stack.append((c, iter(children[c])))
+            continue
+        stack.pop()
+        nxt = spine_next.get(u)
+        if nxt is not None:
+            # the spine replaces u on the stack: its walk never returns to u
+            out.append(nxt)
+            stack.append((nxt, iter(children[nxt])))
+        elif stack:
+            out.append(stack[-1][0])
+    return out
+
+
+def _junction_shortest(pixels: frozenset[Point], entry: Point, exit_: Point,
+                       adjacency: Adjacency) -> list[Point]:
+    return _route(_bfs(entry, pixels, adjacency, goal=exit_), entry, exit_)
 
 
 def emit_path(g: CurveGraph, tour: list[Traversal]) -> EmitResult:
@@ -647,16 +646,7 @@ def trace_component(img: BinaryImage, adjacency: Adjacency) -> ComponentTrace:
     return ComponentTrace(emitted.path, g, tuple(tour), emitted.runs)
 
 
-def trace_image(img: BinaryImage, adjacency: Adjacency, jobs: int = 1) -> list[ComponentTrace]:
-    """One path per connected component, components ordered by smallest pixel.
-
-    Components are independent; with jobs > 1 they are traced in a process
-    pool (the result order stays deterministic).
-    """
+def trace_image(img: BinaryImage, adjacency: Adjacency) -> list[ComponentTrace]:
+    """One path per connected component, components ordered by smallest pixel."""
     subs = [BinaryImage(img.width, img.height, comp) for comp in components(img, adjacency)]
-    if jobs > 1 and len(subs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(trace_component, subs, [adjacency] * len(subs)))
     return [trace_component(sub, adjacency) for sub in subs]

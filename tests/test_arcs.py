@@ -14,17 +14,9 @@ def test_phi_examples():
     assert phi(0, 9) == 0
     assert phi(2, 7) == Fraction(1, 4)
     assert phi(3, 3) == Fraction(3, 4)
+    assert phi(IndexInterval(6, 4).end(8), 7) == Fraction(1, 8)  # end index 9 wraps to 1
     with pytest.raises(ValueError):
         phi(5, 3)
-
-
-def test_arc_angles_are_exact_fractions():
-    arc = CircularArc.from_interval(IndexInterval(2, 3), 8)
-    assert arc.start_angle == Fraction(2, 8)
-    assert arc.end_angle == Fraction(4, 8)
-    wrap = CircularArc.from_interval(IndexInterval(6, 4), 8)
-    assert wrap.start_angle == Fraction(6, 8)
-    assert wrap.end_angle == Fraction(1, 8)  # end index 9 mod 8
 
 
 def test_sliding_windows_overlap_graph():
@@ -76,8 +68,8 @@ def test_inclusion_preserving(data):
     inner_off = data.draw(st.integers(0, outer_len - inner_len))
     outer = IndexInterval(outer_start, outer_len)
     inner = IndexInterval((outer_start + inner_off) % n, inner_len)
-    a = CircularArc.from_interval(outer, n)
-    b = CircularArc.from_interval(inner, n)
+    a = CircularArc(outer, n)
+    b = CircularArc(inner, n)
     assert a.contains(b, closed)
     assert a.intersects(b, closed)
 

@@ -3,7 +3,7 @@ import json
 from fixtures import ALL_FIXTURES
 from satcover.cli import main
 from satcover.paths import path_from_json, path_to_json
-from satcover.pbm import dump_p1, dump_p4, image_from_ascii
+from satcover.pbm import BinaryImage, dump_p1, dump_p4, image_from_ascii
 from satcover import synth
 
 
@@ -66,6 +66,17 @@ def test_trace_odd_cap_exits_3(tmp_path, capsys):
     assert "odd" in capsys.readouterr().err
 
 
+def test_trace_solid_bar_exits_0(tmp_path):
+    # every pixel of a 3-pixel-thick bar is branching: one 4500-pixel junction
+    bar = BinaryImage(1500, 3, frozenset((x, y) for x in range(1500) for y in range(3)))
+    src = tmp_path / "bar.pbm"
+    src.write_bytes(dump_p1(bar))
+    assert main(["trace", str(src)]) == 0
+    assert [p.name for p in tmp_path.glob("bar_c*.json")] == ["bar_c0.json"]
+    path = path_from_json((tmp_path / "bar_c0.json").read_text())
+    assert set(path.points) == bar.foreground
+
+
 def test_cover_line_dss(tmp_path, capsys):
     src = write_path(tmp_path, synth.digitized_line_path(50, 1, 3))
     assert main(["cover", str(src), "--predicate", "dss"]) == 0
@@ -118,6 +129,11 @@ def test_cover_rejects_invalid_path_json(tmp_path, capsys):
     bad.write_text('{"closed": false, "adjacency": "4", "points": [[0,0],[5,5]]}')
     assert main(["cover", str(bad), "--predicate", "dss"]) == 2
     assert "non-adjacent" in capsys.readouterr().err
+
+
+def test_probe_bad_sizes_exits_2(capsys):
+    assert main(["probe", "--predicate", "dss", "--sizes", "abc"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_graph_command(tmp_path, capsys):

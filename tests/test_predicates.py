@@ -205,6 +205,11 @@ def test_max_len_window():
     assert rec.try_extend_negative()
     assert not rec.try_extend_positive()
     assert not rec.try_extend_negative()
+    assert rec.calls == 5  # one per reset and per attempted extension
+    rec.remove_negative_end()
+    assert rec.calls == 5  # removal is not an evaluation
+    assert rec.holds(IndexInterval(2, 3))
+    assert rec.calls == 6  # one per holds, whatever it replays
 
 
 def test_monotone_recognizer():
