@@ -16,13 +16,23 @@ from .paths import Adjacency, PathFormatError, path_from_json, path_to_json
 from .pbm import PbmError, load_pbm
 from .predicates import PredicateError, PredicateSpec, list_predicates
 from .svg import render_cover_svg, render_trace_svg
-from .trace import OddVerticesError, TraceError, find_junctions, trace_image
+from .trace import OddVerticesError, TraceError, trace_image
 from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_CPP_CAP = 3
+
+
+class UsageError(ValueError):
+    """A command-line value outside its allowed range."""
+
+
+def _positive(option: str, value: int) -> int:
+    if value < 1:
+        raise UsageError(f"{option} must be a positive integer, got {value}")
+    return value
 
 
 def _atomic_write(path: FsPath, data: str | bytes) -> None:
@@ -144,9 +154,8 @@ def _cmd_trace(args) -> int:
             _atomic_write(gtarget, _dump(tr.graph.to_json_dict()))
             print(gtarget)
     if args.svg:
-        junction_pixels = set()
-        for j in find_junctions(img, adjacency):
-            junction_pixels |= j.pixels
+        junction_pixels = {p for tr in traces if tr.graph is not None
+                           for v in tr.graph.vertices if v.kind == "junction" for p in v.pixels}
         svg = render_trace_svg(img, junction_pixels, [tr.path for tr in traces])
         _atomic_write(FsPath(args.svg), svg)
     return EXIT_OK
@@ -196,6 +205,9 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for option, value in (("--count", args.count), ("--max-points", args.max_points),
+                          ("--trials", args.trials)):
+        _positive(option, value)
     results = run_verification(seed=args.seed, count=args.count,
                                max_points=args.max_points,
                                conservativity_trials=args.trials)
@@ -210,7 +222,7 @@ def _cmd_probe(args) -> int:
     spec = _spec_from_args(args)
     adjacency = Adjacency.from_code(args.adjacency)
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s]
+        sizes = [_positive("--sizes entry", int(s)) for s in args.sizes.split(",") if s]
         factory = synth.shape_factory(args.shape, adjacency, seed=args.seed,
                                       closed=args.closed)
     except ValueError as exc:
@@ -250,7 +262,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
         if args.command == "probe":
             return _cmd_probe(args)
-    except (PathFormatError, PredicateError, PbmError) as exc:
+    except (PathFormatError, PredicateError, PbmError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OSError as exc:

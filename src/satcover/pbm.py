@@ -6,6 +6,7 @@ origin top-left, x rightward, y downward, row-major storage.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .paths import Point
@@ -30,67 +31,63 @@ class BinaryImage:
         return p in self.foreground
 
 
-def _tokens(data: bytes):
-    """PBM tokens: whitespace separated, '#' comments run to end of line."""
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i:i + 1]
-        if c == b"#":
-            while i < n and data[i:i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
-                j += 1
-            yield i, data[i:j]
-            i = j
+# One header token after any whitespace and '#' comments.  A comment runs
+# through its line end, so a failed match cannot re-read its tail as a token.
+_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*(?:[\n\r]|\Z))*([^\s#]+)")
+_COMMENT = re.compile(rb"#[^\n\r]*")
+_WHITESPACE = b" \t\n\r\x0b\x0c"  # what bytes.isspace() and rb"\s" accept
+
+
+def _ones(bits: str, stride: int, width: int) -> set[Point]:
+    """Foreground of a row-major string of '0'/'1' with `stride` cells per
+    row; the cells at x >= width are row padding and are skipped."""
+    fg = set()
+    for y, start in enumerate(range(0, len(bits), stride)):
+        end = start + width
+        x = bits.find("1", start, end)
+        while x >= 0:
+            fg.add((x - start, y))
+            x = bits.find("1", x + 1, end)
+    return fg
 
 
 def load_pbm(data: bytes) -> BinaryImage:
+    """Decode a P1 or P4 file; any malformed input raises PbmError."""
     if not isinstance(data, (bytes, bytearray)):
         raise PbmError("load_pbm expects bytes")
-    toks = _tokens(bytes(data))
-    try:
-        _, magic = next(toks)
-    except StopIteration:
-        raise PbmError("empty file") from None
+    data = bytes(data)
+    head = _TOKEN.match(data)
+    if head is None:
+        raise PbmError("empty file")
+    magic = head[1]
     if magic not in (b"P1", b"P4"):
         raise PbmError(f"unsupported magic {magic!r} (want P1 or P4)")
     dims = []
     for _ in range(2):
+        head = _TOKEN.match(data, head.end())
+        if head is None:
+            raise PbmError("truncated header: missing dimensions")
         try:
-            pos, tok = next(toks)
-        except StopIteration:
-            raise PbmError("truncated header: missing dimensions") from None
-        try:
-            dims.append(int(tok))
+            dims.append(int(head[1]))
         except ValueError:
-            raise PbmError(f"bad dimension token {tok!r}") from None
-        last_pos, last_tok = pos, tok
+            raise PbmError(f"bad dimension token {head[1]!r}") from None
     width, height = dims
     if width <= 0 or height <= 0:
         raise PbmError(f"dimensions must be positive, got {width}x{height}")
 
-    fg = set()
+    start = head.end()
     if magic == b"P1":
-        count = 0
-        for _, tok in toks:
-            for ch in tok.decode("ascii", "replace"):
-                if ch not in "01":
-                    raise PbmError(f"P1 pixel must be 0 or 1, got {ch!r}")
-                if count >= width * height:
-                    raise PbmError("too many pixels")
-                if ch == "1":
-                    fg.add((count % width, count // width))
-                count += 1
-        if count != width * height:
-            raise PbmError(f"expected {width * height} pixels, got {count}")
+        body = data[start:]
+        if b"#" in body:
+            body = _COMMENT.sub(b"", body)
+        body = body.translate(None, _WHITESPACE)
+        if body.translate(None, b"01"):
+            raise PbmError("P1 pixels must be 0 or 1")
+        if len(body) != width * height:
+            raise PbmError(f"expected {width * height} pixels, got {len(body)}")
+        fg = _ones(body.decode("ascii"), width, width)
     else:
         # raw rows start after the single whitespace byte ending the header
-        start = last_pos + len(last_tok)
         if start >= len(data) or not data[start:start + 1].isspace():
             raise PbmError("P4 header must end with one whitespace byte")
         start += 1
@@ -99,11 +96,7 @@ def load_pbm(data: bytes) -> BinaryImage:
         raw = data[start:start + need]
         if len(raw) < need:
             raise PbmError(f"truncated raster: need {need} bytes, have {len(raw)}")
-        for y in range(height):
-            row = raw[y * row_bytes:(y + 1) * row_bytes]
-            for x in range(width):
-                if row[x >> 3] & (0x80 >> (x & 7)):
-                    fg.add((x, y))
+        fg = _ones(format(int.from_bytes(raw, "big"), f"0{8 * need}b"), 8 * row_bytes, width)
     return BinaryImage(width, height, frozenset(fg))
 
 

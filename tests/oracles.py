@@ -5,6 +5,10 @@ satisfiability of the digitization inequalities: it enumerates every
 candidate slope (a, b) up to the interval length and checks whether the
 remainder spread fits the band width.  It shares nothing with the
 incremental recognizer.
+
+`load_pbm_reference` is the PBM decoder that tokenizes byte by byte and
+decodes pixels cell by cell; the whole-buffer decoder must accept, reject
+and decode exactly like it.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from satcover.paths import Adjacency, DigitalPath, IndexInterval, interval_points
+from satcover.pbm import BinaryImage, PbmError
 
 
 def dss_feasible(path: DigitalPath, iv: IndexInterval) -> bool:
@@ -85,3 +90,82 @@ def min_matching_weight(odd: list[int], dist) -> int:
         if best is None or cost < best:
             best = cost
     return best
+
+
+def _tokens(data: bytes):
+    """PBM tokens: whitespace separated, '#' comments run to end of line."""
+    i = 0
+    n = len(data)
+    while i < n:
+        c = data[i:i + 1]
+        if c == b"#":
+            while i < n and data[i:i + 1] not in (b"\n", b"\r"):
+                i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < n and not data[j:j + 1].isspace() and data[j:j + 1] != b"#":
+                j += 1
+            yield i, data[i:j]
+            i = j
+
+
+def load_pbm_reference(data: bytes) -> BinaryImage:
+    """The byte-at-a-time PBM decoder that `satcover.pbm.load_pbm` replaced,
+    kept as the reference it is compared against."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise PbmError("load_pbm expects bytes")
+    toks = _tokens(bytes(data))
+    try:
+        _, magic = next(toks)
+    except StopIteration:
+        raise PbmError("empty file") from None
+    if magic not in (b"P1", b"P4"):
+        raise PbmError(f"unsupported magic {magic!r} (want P1 or P4)")
+    dims = []
+    for _ in range(2):
+        try:
+            pos, tok = next(toks)
+        except StopIteration:
+            raise PbmError("truncated header: missing dimensions") from None
+        try:
+            dims.append(int(tok))
+        except ValueError:
+            raise PbmError(f"bad dimension token {tok!r}") from None
+        last_pos, last_tok = pos, tok
+    width, height = dims
+    if width <= 0 or height <= 0:
+        raise PbmError(f"dimensions must be positive, got {width}x{height}")
+
+    fg = set()
+    if magic == b"P1":
+        count = 0
+        for _, tok in toks:
+            for ch in tok.decode("ascii", "replace"):
+                if ch not in "01":
+                    raise PbmError(f"P1 pixel must be 0 or 1, got {ch!r}")
+                if count >= width * height:
+                    raise PbmError("too many pixels")
+                if ch == "1":
+                    fg.add((count % width, count // width))
+                count += 1
+        if count != width * height:
+            raise PbmError(f"expected {width * height} pixels, got {count}")
+    else:
+        # raw rows start after the single whitespace byte ending the header
+        start = last_pos + len(last_tok)
+        if start >= len(data) or not data[start:start + 1].isspace():
+            raise PbmError("P4 header must end with one whitespace byte")
+        start += 1
+        row_bytes = (width + 7) // 8
+        need = row_bytes * height
+        raw = data[start:start + need]
+        if len(raw) < need:
+            raise PbmError(f"truncated raster: need {need} bytes, have {len(raw)}")
+        for y in range(height):
+            row = raw[y * row_bytes:(y + 1) * row_bytes]
+            for x in range(width):
+                if row[x >> 3] & (0x80 >> (x & 7)):
+                    fg.add((x, y))
+    return BinaryImage(width, height, frozenset(fg))

@@ -1,9 +1,13 @@
 import json
 
+import pytest
+
 from fixtures import ALL_FIXTURES
 from satcover.cli import main
-from satcover.paths import path_from_json, path_to_json
+from satcover.paths import Adjacency, path_from_json, path_to_json
 from satcover.pbm import BinaryImage, dump_p1, dump_p4, image_from_ascii
+from satcover.svg import render_trace_svg
+from satcover.trace import find_junctions, trace_image
 from satcover import synth
 
 
@@ -47,6 +51,19 @@ def test_trace_two_components(tmp_path):
     assert set(doc) == {"vertices", "edges"}
     svg = (tmp_path / "two.svg").read_text()
     assert svg.startswith("<svg")
+
+
+@pytest.mark.parametrize("adjacency", ["4", "8"])
+@pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
+def test_trace_svg_marks_every_junction(tmp_path, name, adjacency):
+    src = write_pbm(tmp_path, "f.pbm", ALL_FIXTURES[name])
+    svg = tmp_path / "f.svg"
+    assert main(["trace", str(src), "--adjacency", adjacency, "--svg", str(svg)]) == 0
+    img = image_from_ascii(ALL_FIXTURES[name])
+    adj = Adjacency.from_code(adjacency)
+    junction_pixels = set().union(*(j.pixels for j in find_junctions(img, adj)))
+    paths = [tr.path for tr in trace_image(img, adj)]
+    assert svg.read_text() == render_trace_svg(img, junction_pixels, paths)
 
 
 def test_trace_malformed_exits_2(tmp_path, capsys):
@@ -134,6 +151,21 @@ def test_cover_rejects_invalid_path_json(tmp_path, capsys):
 def test_probe_bad_sizes_exits_2(capsys):
     assert main(["probe", "--predicate", "dss", "--sizes", "abc"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--max-points", "0"],
+    ["verify", "--count", "-1"],
+    ["verify", "--trials", "0"],
+    ["probe", "--predicate", "dss", "--sizes", "0"],
+    ["probe", "--predicate", "dss", "--sizes", "100,-5"],
+    ["probe", "--predicate", "dss", "--shape", "line", "--sizes", "0"],
+])
+def test_non_positive_count_exits_2(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "positive integer" in err
 
 
 def test_graph_command(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import load_pbm_reference
 from satcover.pbm import BinaryImage, PbmError, dump_p1, dump_p4, image_from_ascii, load_pbm
 
 
@@ -49,6 +50,82 @@ def test_malformed_inputs():
         load_pbm(b"P4\n9 2\n\x00")  # truncated raster
     with pytest.raises(PbmError):
         load_pbm(b"P1\nx 2\n1 0\n")
+    with pytest.raises(PbmError):
+        load_pbm(b"P4\n2 2")  # no whitespace byte ends the header
+    with pytest.raises(PbmError):
+        load_pbm(b"P1\n2\n")  # missing height
+    with pytest.raises(PbmError):
+        load_pbm(b"P4\n8 # 1\n\n\n")  # missing height: a comment's tail is no token
+    with pytest.raises(PbmError):
+        load_pbm(b"P1\n-2 2\n1 0 1 0\n")
+    with pytest.raises(PbmError):
+        load_pbm(b"P1\n2 1\n1 \xff\n")
+    for magic in (b"P1", b"P4"):
+        with pytest.raises(PbmError):  # must fail before sizing anything by the header
+            load_pbm(magic + b"\n100000 100000\n")
+
+
+@pytest.mark.parametrize("data, foreground", [
+    (b"P4\n3 2\n\xbf\x5f", {(0, 0), (2, 0), (1, 1)}),  # padding bits set
+    (b"P1\r\n3 2\r\n1 0 1\r\n0 1 0\r\n", {(0, 0), (2, 0), (1, 1)}),
+    (b"P1\n3 2\n1 0 # first row\n1\n0 1 0\n", {(0, 0), (2, 0), (1, 1)}),
+    (bytearray(b"P1\n3 2\n101 010\n"), {(0, 0), (2, 0), (1, 1)}),
+])
+def test_accepted_variants(data, foreground):
+    assert load_pbm(data) == BinaryImage(3, 2, frozenset(foreground))
+
+
+_INSERTS = (b"0", b"1", b"#", b"P", b"4", b" ", b"\t", b"\r", b"\n", b"\x00", b"\xff")
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    i = rng.randint(0, len(data))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return data[:i] + rng.choice(_INSERTS) + data[i:]
+    if kind == 1:
+        return data[:i] + data[i + rng.randint(1, 3):]
+    if kind == 2:
+        return data[:i]
+    comment = b"#" + rng.choice((b"", b" 1 0", b"P4 2 2", b"#")) + rng.choice((b"\n", b"\r", b""))
+    return data[:i] + comment + data[i:]
+
+
+def _decode(decoder, data):
+    try:
+        return decoder(data)
+    except PbmError:
+        return None
+
+
+def test_matches_reference_decoder():
+    """Seeded mutations of valid files: the decoder accepts and rejects
+    exactly the files the reference decoder does, with equal images."""
+    rng = random.Random(7)
+    accepted = rejected = 0
+    for case in range(2400):
+        w, h = rng.randint(1, 19), rng.randint(1, 6)
+        img = BinaryImage(w, h, frozenset(
+            (x, y) for x in range(w) for y in range(h) if rng.random() < 0.4))
+        raw = case % 2 == 1
+        data = bytearray(dump_p4(img) if raw else dump_p1(img))
+        if raw and w % 8 and rng.random() < 0.5:
+            row_bytes = (w + 7) // 8
+            body = len(data) - row_bytes * h
+            for y in range(h):
+                data[body + (y + 1) * row_bytes - 1] |= rng.randrange(256) >> (w % 8)
+        data = bytes(data)
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            data = _mutate(rng, data)
+        if rng.random() < 0.1:
+            data = bytearray(data)
+        got = _decode(load_pbm, data)
+        assert got == _decode(load_pbm_reference, data), data
+        if got is None:
+            rejected += 1
+        else:
+            accepted += 1
+    assert accepted > 500 and rejected > 500, (accepted, rejected)
 
 
 def test_image_bounds_enforced():
