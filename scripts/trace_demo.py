@@ -16,7 +16,7 @@ from satcover.paths import Adjacency, path_to_json
 from satcover.pbm import dump_p1, image_from_ascii
 from satcover.predicates import PredicateSpec
 from satcover.svg import render_cover_svg, render_trace_svg
-from satcover.trace import find_junctions, trace_image
+from satcover.trace import trace_image
 
 ART = """
 .#.........###....
@@ -41,9 +41,8 @@ def main() -> int:
     (out / "demo.pbm").write_bytes(dump_p1(img))
 
     traces = trace_image(img, Adjacency.FOUR)
-    junction_pixels = set()
-    for j in find_junctions(img, Adjacency.FOUR):
-        junction_pixels |= j.pixels
+    junction_pixels = {p for tr in traces if tr.graph is not None
+                       for v in tr.graph.vertices if v.kind == "junction" for p in v.pixels}
     (out / "demo_trace.svg").write_text(
         render_trace_svg(img, junction_pixels, [t.path for t in traces]))
 

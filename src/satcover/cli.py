@@ -29,9 +29,10 @@ class UsageError(ValueError):
     """A command-line value outside its allowed range."""
 
 
-def _positive(option: str, value: int) -> int:
-    if value < 1:
-        raise UsageError(f"{option} must be a positive integer, got {value}")
+def _positive(option: str, value: int, least: int = 1) -> int:
+    if value < least:
+        bound = f" of at least {least}" if least > 1 else ""
+        raise UsageError(f"{option} must be a positive integer{bound}, got {value}")
     return value
 
 
@@ -113,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_probe.add_argument("--predicate", required=True)
     p_probe.add_argument("--param", action="append", metavar="K=V")
     p_probe.add_argument("--sizes", default="1000,10000,100000",
-                         help="comma-separated point counts")
+                         help="comma-separated path sizes; each row's n is the point "
+                              "count of the path generated for that size")
     p_probe.add_argument("--shape", choices=("circle", "line", "walk"), default="circle")
     p_probe.add_argument("--adjacency", choices=("4", "8", "index"), default="8")
     p_probe.add_argument("--closed", action="store_true",
@@ -222,7 +224,12 @@ def _cmd_probe(args) -> int:
     spec = _spec_from_args(args)
     adjacency = Adjacency.from_code(args.adjacency)
     try:
-        sizes = [_positive("--sizes entry", int(s)) for s in args.sizes.split(",") if s]
+        # no digitized circle has fewer than 4 points
+        least = 4 if args.shape == "circle" else 1
+        sizes = [_positive(f"--sizes entry for --shape {args.shape}", int(s), least)
+                 for s in args.sizes.split(",") if s]
+        if not sizes:
+            raise UsageError("--sizes must list at least one positive integer")
         factory = synth.shape_factory(args.shape, adjacency, seed=args.seed,
                                       closed=args.closed)
     except ValueError as exc:

@@ -10,6 +10,7 @@ at the negative end.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -191,12 +192,6 @@ _PERP_TURNS = {
     (0, 1): ((1, 0), (-1, 0)),
     (0, -1): ((1, 0), (-1, 0)),
 }
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 class DssRecognizer(Recognizer):
@@ -382,7 +377,7 @@ class DssRecognizer(Recognizer):
         """Characteristics of the line through p and pivot, oriented so that
         they are upper (resp. lower) leaning and `witness` leans opposite."""
         dx, dy = p[0] - pivot[0], p[1] - pivot[1]
-        g = _gcd(dx, dy)
+        g = math.gcd(dx, dy)
         if g == 0:
             return None
         dx //= g

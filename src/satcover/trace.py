@@ -41,17 +41,6 @@ def branching_index(img: BinaryImage, p: Point, adjacency: Adjacency) -> int:
     return sum(1 for q in neighbours(p, adjacency) if q in img.foreground)
 
 
-def pixel_kind(index: int) -> str:
-    """'isolated' (0), 'end' (1), 'regular' (2) or 'branching' (>= 3)."""
-    if index == 0:
-        return "isolated"
-    if index == 1:
-        return "end"
-    if index == 2:
-        return "regular"
-    return "branching"
-
-
 # Neighbour offsets in sorted order: adding p keeps their lexicographic
 # order, so p's neighbours come out as sorted(neighbours(p, adjacency)).
 _SORTED_OFFSETS = {adj: tuple(sorted(neighbours((0, 0), adj)))
@@ -106,20 +95,51 @@ class Junction:
     branching_index: int
 
 
-def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[Junction]:
-    branching = {p for p in img.foreground if branching_index(img, p, adjacency) >= 3}
+def _neighbour_table(pixels, adjacency: Adjacency) -> dict[Point, list[Point]]:
+    """Each pixel's neighbours among `pixels`, in sorted order."""
+    offsets = _SORTED_OFFSETS[adjacency]
+    table = {}
+    for p in pixels:
+        x, y = p
+        table[p] = [q for dx, dy in offsets if (q := (x + dx, y + dy)) in pixels]
+    return table
+
+
+def _table_sets(table: dict[Point, list[Point]], pixels) -> list[frozenset[Point]]:
+    """Subsets of `pixels` connected through `table`, sorted by their
+    smallest pixel.  `components` keeps the table-free `_connected_sets`:
+    building a whole image's table first doubles the cost of its search."""
     out = []
-    for comp in _connected_sets(branching, adjacency):
+    seen: set[Point] = set()
+    for seed in sorted(pixels):
+        if seed in seen:
+            continue
+        comp = {seed}
+        stack = [seed]
+        while stack:
+            for q in table[stack.pop()]:
+                if q in pixels and q not in comp:
+                    comp.add(q)
+                    stack.append(q)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def _junctions(table: dict[Point, list[Point]]) -> list[Junction]:
+    branching = {p for p, qs in table.items() if len(qs) >= 3}
+    out = []
+    for comp in _table_sets(table, branching):
         # attachment count: adjacent foreground outside the junction (all of
         # it is end/regular, since adjacent branching pixels would have been
         # merged into the component)
-        ring = set()
-        for p in comp:
-            for q in neighbours(p, adjacency):
-                if q in img.foreground and q not in comp:
-                    ring.add(q)
+        ring = {q for p in comp for q in table[p] if q not in comp}
         out.append(Junction(comp, len(ring)))
     return out
+
+
+def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[Junction]:
+    return _junctions(_neighbour_table(img.foreground, adjacency))
 
 
 # ---------------------------------------------------------------------------
@@ -190,36 +210,36 @@ class CurveGraph:
         }
 
 
-def _order_chain(comp: frozenset[Point], adjacency: Adjacency) -> tuple[list[Point], bool]:
-    """Order a simplified-image component; returns (pixels, is_cycle)."""
-    nbrs = {p: sorted(q for q in neighbours(p, adjacency) if q in comp) for p in comp}
-    for p, qs in nbrs.items():
-        if len(qs) > 2:
-            raise AssertionError(f"simplified image is not thin at {p}")
-    ends = sorted(p for p, qs in nbrs.items() if len(qs) <= 1)
-    if ends:
-        start = ends[0]
-        cycle = False
-    else:
-        start = min(comp)
-        cycle = True
-    chain = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [q for q in nbrs[cur] if q != prev]
-        if not nxt:
-            break
-        step = nxt[0]
-        if cycle and step == start:
-            break
-        chain.append(step)
-        prev, cur = cur, step
-        if cycle and len(chain) == len(comp):
-            break
-    if len(chain) != len(comp):
-        raise AssertionError("component walk did not cover the component")
-    return chain, cycle
+def _chains(table: dict[Point, list[Point]],
+            junction_of: dict[Point, int]) -> list[tuple[list[Point], bool]]:
+    """Maximal runs of non-junction pixels as (pixels, is_cycle), sorted by
+    their smallest pixel.  An open chain runs from its smaller end; a cycle
+    starts at its smallest pixel and steps first to that pixel's smaller
+    neighbour."""
+    inner: dict[Point, list[Point]] = {}
+    for p, qs in table.items():
+        if p not in junction_of:
+            inner[p] = [q for q in qs if q not in junction_of]
+            if len(inner[p]) > 2:
+                raise AssertionError(f"simplified image is not thin at {p}")
+    chains = []
+    seen: set[Point] = set()
+    # chain ends come first, so a walk starts at an end whenever its chain has one
+    for start in sorted(inner, key=lambda p: (len(inner[p]) == 2, p)):
+        if start in seen:
+            continue
+        chain = [start]
+        prev = None
+        while True:
+            nxt = [q for q in inner[chain[-1]] if q != prev]
+            if not nxt or nxt[0] == start:
+                break
+            prev = chain[-1]
+            chain.append(nxt[0])
+        seen.update(chain)
+        chains.append((chain, len(inner[start]) == 2))
+    chains.sort(key=lambda item: min(item[0]))
+    return chains
 
 
 def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
@@ -229,33 +249,31 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
     hold everything in between, so vertex pixels and edge pixels partition
     the foreground.
     """
-    comps = components(img, adjacency)
-    if len(comps) != 1:
-        raise TraceError(f"expected a single connected component, found {len(comps)}")
+    table = _neighbour_table(img.foreground, adjacency)
+    if len(_table_sets(table, table)) != 1:
+        raise TraceError("expected a single connected component")
 
-    junctions = find_junctions(img, adjacency)
-    junction_of: dict[Point, int] = {}
-
-    vertices: list[Vertex] = []
-    for j in junctions:
-        vertices.append(Vertex("junction", tuple(sorted(j.pixels))))
-    for jid, j in enumerate(junctions):
-        for p in j.pixels:
-            junction_of[p] = jid
-
-    junction_pixels = set(junction_of)
-    simplified = frozenset(img.foreground - junction_pixels)
-    chains = []
-    if simplified:
-        sub = BinaryImage(img.width, img.height, simplified)
-        chains = [_order_chain(comp, adjacency) for comp in components(sub, adjacency)]
+    junctions = _junctions(table)
+    vertices = [Vertex("junction", tuple(sorted(j.pixels))) for j in junctions]
+    junction_of = {p: jid for jid, j in enumerate(junctions) for p in j.pixels}
+    chains = _chains(table, junction_of)
 
     # an end pixel (one foreground neighbour) can only be the end of an open chain
     chain_ends = {p for chain, cycle in chains if not cycle for p in (chain[0], chain[-1])}
     end_vertex: dict[Point, int] = {}
-    for p in sorted(p for p in chain_ends if branching_index(img, p, adjacency) == 1):
+    for p in sorted(p for p in chain_ends if len(table[p]) == 1):
         end_vertex[p] = len(vertices)
         vertices.append(Vertex("end", (p,)))
+
+    def attachments(p: Point) -> list[int]:
+        # an end pixel's own vertex, then its junction neighbours in sorted
+        # order; a chain of two or more pixels attaches each end to one of
+        # them, a one-pixel chain runs from the first to the last
+        ids = [end_vertex[p]] if p in end_vertex else []
+        ids += [junction_of[q] for q in table[p] if q in junction_of]
+        if not ids:
+            raise AssertionError(f"chain end {p} attaches to nothing")
+        return ids
 
     edges: list[Edge] = []
     for chain, cycle in chains:
@@ -266,36 +284,11 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
             vertices.append(Vertex("cycle", ()))
             edges.append(Edge(vid, vid, tuple(chain)))
             continue
-
-        def port(pixel: Point, inner: Optional[Point]) -> tuple[int, bool]:
-            # -> (vertex id, strip pixel from the edge list?)
-            if pixel in end_vertex:
-                return end_vertex[pixel], True
-            outward = [q for q in neighbours(pixel, adjacency)
-                       if q in junction_pixels and q != inner]
-            if not outward:
-                raise AssertionError(f"chain port {pixel} attaches to nothing")
-            return junction_of[outward[0]], False
-
-        if len(chain) == 1:
-            p = chain[0]
-            if p in end_vertex:
-                u = end_vertex[p]
-                out = sorted(q for q in neighbours(p, adjacency) if q in junction_pixels)
-                if not out:
-                    raise AssertionError(f"stranded end pixel {p}")
-                edges.append(Edge(u, junction_of[out[0]], ()))
-            else:
-                out = sorted(q for q in neighbours(p, adjacency) if q in junction_pixels)
-                if len(out) < 2:
-                    raise AssertionError(f"one-pixel chain {p} lacks two attachments")
-                edges.append(Edge(junction_of[out[0]], junction_of[out[1]], (p,)))
-            continue
-
-        u, strip_u = port(chain[0], chain[1])
-        v, strip_v = port(chain[-1], chain[-2])
-        pixels = chain[1 if strip_u else 0: len(chain) - (1 if strip_v else 0)]
-        edges.append(Edge(u, v, tuple(pixels)))
+        first, last = chain[0], chain[-1]
+        # end pixels live on their vertices, not in the edge's pixel list
+        start = 1 if first in end_vertex else 0
+        stop = len(chain) - 1 if last in end_vertex else len(chain)
+        edges.append(Edge(attachments(first)[0], attachments(last)[-1], tuple(chain[start:stop])))
 
     return CurveGraph(tuple(vertices), tuple(edges), adjacency)
 

@@ -9,14 +9,31 @@ incremental recognizer.
 `load_pbm_reference` is the PBM decoder that tokenizes byte by byte and
 decodes pixels cell by cell; the whole-buffer decoder must accept, reject
 and decode exactly like it.
+
+`build_curve_graph_reference` is the curve-graph builder that searches the
+image for components again, computes branching indices pixel by pixel and
+orders each chain from its own neighbour dict; the neighbour-table builder
+must return the same graph or raise the same exception type.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
-from satcover.paths import Adjacency, DigitalPath, IndexInterval, interval_points
+from satcover.paths import Adjacency, DigitalPath, IndexInterval, Point, interval_points, neighbours
 from satcover.pbm import BinaryImage, PbmError
+from satcover.trace import (
+    CurveGraph,
+    Edge,
+    Junction,
+    TraceError,
+    Vertex,
+    _connected_sets,
+    branching_index,
+    components,
+)
 
 
 def dss_feasible(path: DigitalPath, iv: IndexInterval) -> bool:
@@ -169,3 +186,132 @@ def load_pbm_reference(data: bytes) -> BinaryImage:
                 if row[x >> 3] & (0x80 >> (x & 7)):
                     fg.add((x, y))
     return BinaryImage(width, height, frozenset(fg))
+
+
+def find_junctions_reference(img: BinaryImage, adjacency: Adjacency) -> list[Junction]:
+    branching = {p for p in img.foreground if branching_index(img, p, adjacency) >= 3}
+    out = []
+    for comp in _connected_sets(branching, adjacency):
+        # attachment count: adjacent foreground outside the junction (all of
+        # it is end/regular, since adjacent branching pixels would have been
+        # merged into the component)
+        ring = set()
+        for p in comp:
+            for q in neighbours(p, adjacency):
+                if q in img.foreground and q not in comp:
+                    ring.add(q)
+        out.append(Junction(comp, len(ring)))
+    return out
+
+
+def _order_chain(comp: frozenset[Point], adjacency: Adjacency) -> tuple[list[Point], bool]:
+    """Order a simplified-image component; returns (pixels, is_cycle)."""
+    nbrs = {p: sorted(q for q in neighbours(p, adjacency) if q in comp) for p in comp}
+    for p, qs in nbrs.items():
+        if len(qs) > 2:
+            raise AssertionError(f"simplified image is not thin at {p}")
+    ends = sorted(p for p, qs in nbrs.items() if len(qs) <= 1)
+    if ends:
+        start = ends[0]
+        cycle = False
+    else:
+        start = min(comp)
+        cycle = True
+    chain = [start]
+    prev = None
+    cur = start
+    while True:
+        nxt = [q for q in nbrs[cur] if q != prev]
+        if not nxt:
+            break
+        step = nxt[0]
+        if cycle and step == start:
+            break
+        chain.append(step)
+        prev, cur = cur, step
+        if cycle and len(chain) == len(comp):
+            break
+    if len(chain) != len(comp):
+        raise AssertionError("component walk did not cover the component")
+    return chain, cycle
+
+
+def build_curve_graph_reference(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
+    """The curve-graph builder that `satcover.trace.build_curve_graph`
+    replaced, kept as the reference it is compared against.
+
+    Graph of one connected raster component.
+
+    End pixels and junction pixels live on the vertices; edge pixel lists
+    hold everything in between, so vertex pixels and edge pixels partition
+    the foreground.
+    """
+    comps = components(img, adjacency)
+    if len(comps) != 1:
+        raise TraceError(f"expected a single connected component, found {len(comps)}")
+
+    junctions = find_junctions_reference(img, adjacency)
+    junction_of: dict[Point, int] = {}
+
+    vertices: list[Vertex] = []
+    for j in junctions:
+        vertices.append(Vertex("junction", tuple(sorted(j.pixels))))
+    for jid, j in enumerate(junctions):
+        for p in j.pixels:
+            junction_of[p] = jid
+
+    junction_pixels = set(junction_of)
+    simplified = frozenset(img.foreground - junction_pixels)
+    chains = []
+    if simplified:
+        sub = BinaryImage(img.width, img.height, simplified)
+        chains = [_order_chain(comp, adjacency) for comp in components(sub, adjacency)]
+
+    # an end pixel (one foreground neighbour) can only be the end of an open chain
+    chain_ends = {p for chain, cycle in chains if not cycle for p in (chain[0], chain[-1])}
+    end_vertex: dict[Point, int] = {}
+    for p in sorted(p for p in chain_ends if branching_index(img, p, adjacency) == 1):
+        end_vertex[p] = len(vertices)
+        vertices.append(Vertex("end", (p,)))
+
+    edges: list[Edge] = []
+    for chain, cycle in chains:
+        if cycle:
+            if junctions:
+                raise AssertionError("cycle component in an image with junctions")
+            vid = len(vertices)
+            vertices.append(Vertex("cycle", ()))
+            edges.append(Edge(vid, vid, tuple(chain)))
+            continue
+
+        def port(pixel: Point, inner: Optional[Point]) -> tuple[int, bool]:
+            # -> (vertex id, strip pixel from the edge list?)
+            if pixel in end_vertex:
+                return end_vertex[pixel], True
+            outward = [q for q in neighbours(pixel, adjacency)
+                       if q in junction_pixels and q != inner]
+            if not outward:
+                raise AssertionError(f"chain port {pixel} attaches to nothing")
+            return junction_of[outward[0]], False
+
+        if len(chain) == 1:
+            p = chain[0]
+            if p in end_vertex:
+                u = end_vertex[p]
+                out = sorted(q for q in neighbours(p, adjacency) if q in junction_pixels)
+                if not out:
+                    raise AssertionError(f"stranded end pixel {p}")
+                edges.append(Edge(u, junction_of[out[0]], ()))
+            else:
+                out = sorted(q for q in neighbours(p, adjacency) if q in junction_pixels)
+                if len(out) < 2:
+                    raise AssertionError(f"one-pixel chain {p} lacks two attachments")
+                edges.append(Edge(junction_of[out[0]], junction_of[out[1]], (p,)))
+            continue
+
+        u, strip_u = port(chain[0], chain[1])
+        v, strip_v = port(chain[-1], chain[-2])
+        pixels = chain[1 if strip_u else 0: len(chain) - (1 if strip_v else 0)]
+        edges.append(Edge(u, v, tuple(pixels)))
+
+    return CurveGraph(tuple(vertices), tuple(edges), adjacency)

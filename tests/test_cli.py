@@ -160,6 +160,10 @@ def test_probe_bad_sizes_exits_2(capsys):
     ["probe", "--predicate", "dss", "--sizes", "0"],
     ["probe", "--predicate", "dss", "--sizes", "100,-5"],
     ["probe", "--predicate", "dss", "--shape", "line", "--sizes", "0"],
+    ["probe", "--predicate", "dss", "--sizes", ","],
+    ["probe", "--predicate", "dss", "--sizes", ""],
+    ["probe", "--predicate", "dss", "--sizes", "3"],
+    ["probe", "--predicate", "dss", "--shape", "circle", "--sizes", "100,1"],
 ])
 def test_non_positive_count_exits_2(argv, capsys):
     assert main(argv) == 2

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from fixtures import fixture_image
-from oracles import min_matching_weight
+from fixtures import ALL_FIXTURES, fixture_image
+from oracles import build_curve_graph_reference, find_junctions_reference, min_matching_weight
 from satcover.paths import Adjacency, is_adjacent, validate_path
 from satcover.pbm import BinaryImage, image_from_ascii
 from satcover.trace import (
@@ -18,7 +20,6 @@ from satcover.trace import (
     euler_tour,
     eulerize,
     find_junctions,
-    pixel_kind,
     trace_component,
     trace_image,
 )
@@ -35,7 +36,6 @@ EIGHT = Adjacency.EIGHT
 def test_branching_index_examples():
     lone = BinaryImage(3, 3, frozenset({(1, 1)}))
     assert branching_index(lone, (1, 1), EIGHT) == 0
-    assert pixel_kind(0) == "isolated"
 
     run = image_from_ascii("###")
     assert branching_index(run, (1, 0), EIGHT) == 2
@@ -43,7 +43,6 @@ def test_branching_index_examples():
 
     plus = fixture_image("plus")
     assert branching_index(plus, (1, 1), FOUR) == 4
-    assert pixel_kind(4) == "branching"
 
     with pytest.raises(ValueError):
         branching_index(run, (9, 9), EIGHT)
@@ -135,9 +134,51 @@ def test_pixel_partition_invariant():
         assert sorted(seen) == sorted(img.foreground), name
 
 
-def test_multi_component_rejected():
-    with pytest.raises(TraceError):
-        build_curve_graph(fixture_image("two_components"), FOUR)
+@pytest.mark.parametrize("art", [
+    ALL_FIXTURES["two_components"],
+    "...\n...",
+    "#.###",
+    "###..#.\n#.#.###\n###..#.",
+], ids=["two_components", "empty", "isolated_pixel_and_segment", "cycle_and_plus"])
+def test_multi_component_rejected(art):
+    img = image_from_ascii(art)
+    for adjacency in (FOUR, EIGHT):
+        with pytest.raises(TraceError):
+            build_curve_graph(img, adjacency)
+        with pytest.raises(TraceError):
+            trace_component(img, adjacency)
+
+
+def _random_images(count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        w, h = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.random()
+        yield BinaryImage(w, h, frozenset(
+            (x, y) for y in range(h) for x in range(w) if rng.random() < density))
+
+
+def _outcome(build, img, adjacency):
+    try:
+        return build(img, adjacency)
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
+def test_curve_graph_matches_reference(adjacency):
+    images = list(_random_images(2000, seed=5)) + [fixture_image(n) for n in sorted(ALL_FIXTURES)]
+    checked = 0
+    for img in images:
+        assert find_junctions(img, adjacency) == find_junctions_reference(img, adjacency)
+        for comp in components(img, adjacency):
+            if len(comp) < 2:
+                continue
+            sub = BinaryImage(img.width, img.height, comp)
+            assert (_outcome(build_curve_graph, sub, adjacency)
+                    == _outcome(build_curve_graph_reference, sub, adjacency))
+            checked += 1
+    assert checked > 2000
 
 
 def test_graph_json_schema():
