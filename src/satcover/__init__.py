@@ -1,7 +1,7 @@
 """satcover: saturated subpath covers of digital paths under conservative
 predicates, with raster curve tracing to produce the paths."""
 
-from .arcs import ArcGraph, CircularArc, build_arc_graph, phi
+from .arcs import ArcGraph, build_arc_graph
 from .cover import (
     CoverCapError,
     SaturatedCover,
@@ -16,10 +16,7 @@ from .paths import (
     DigitalPath,
     IndexInterval,
     PathFormatError,
-    canonical_extension,
-    enumerate_subpaths,
     interval_contains,
-    intervals_intersect,
     is_adjacent,
     middle_index,
     path_from_json,
@@ -33,7 +30,6 @@ from .predicates import (
     PredicateSpec,
     Recognizer,
     check_conservative,
-    dss_holds,
     list_predicates,
     make_recognizer,
     register_predicate,
@@ -44,7 +40,6 @@ from .trace import (
     Junction,
     OddVerticesError,
     TraceError,
-    branching_index,
     build_curve_graph,
     emit_path,
     euler_open_trail,

@@ -1,8 +1,8 @@
 """Circular-arc view of a cover.
 
-Path index k maps to the angle k/(n+1) of a full turn, so every index
-interval becomes a closed arc of the unit circle and inclusion of
-intervals is preserved.  The intersection graph of a cover's arcs is
+Every index interval is a closed arc of the circle of path indices (it
+wraps past index 0 only on closed paths), so inclusion of intervals is
+inclusion of arcs.  The intersection graph of a cover's arcs is
 proper (no arc contains another) exactly when the cover is
 inclusion-free, which the saturated decomposition guarantees.
 """
@@ -10,36 +10,11 @@ inclusion-free, which the saturated decomposition guarantees.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cover import SaturatedCover
-from .paths import IndexInterval, interval_contains, intervals_intersect
-
-
-def phi(k: int, n: int) -> Fraction:
-    """Angular position of index k on a path with max index n, as an exact
-    fraction of a full turn: k/(n+1)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"index {k} outside [0, {n}]")
-    return Fraction(k, n + 1)
-
-
-@dataclass(frozen=True)
-class CircularArc:
-    """Arc of the unit circle from phi(start) to phi(end) of an index
-    interval, swept positively (it may wrap past angle 0)."""
-
-    interval: IndexInterval
-    n_points: int
-
-    def contains(self, other: "CircularArc", closed: bool) -> bool:
-        return interval_contains(self.n_points, closed, self.interval, other.interval)
-
-    def intersects(self, other: "CircularArc", closed: bool) -> bool:
-        # endpoints are multiples of 1/(n+1), so closed arcs meet iff they
-        # share an index angle
-        return intervals_intersect(self.n_points, closed, self.interval, other.interval)
+from .paths import IndexInterval, interval_contains
 
 
 @dataclass(frozen=True)
@@ -51,14 +26,14 @@ class ArcGraph:
     an interval graph).
     """
 
-    nodes: tuple[CircularArc, ...]
+    nodes: tuple[IndexInterval, ...]
     edges: tuple[tuple[int, int], ...]
     proper: bool
     interval: bool
 
     def to_json_dict(self) -> dict:
         return {
-            "nodes": [{"start": a.interval.start, "len": a.interval.length} for a in self.nodes],
+            "nodes": [{"start": iv.start, "len": iv.length} for iv in self.nodes],
             "edges": [[u, v] for u, v in self.edges],
             "proper": self.proper,
             "interval": self.interval,
@@ -69,8 +44,7 @@ class ArcGraph:
 
     def to_dot(self) -> str:
         lines = ["graph cover {"]
-        for i, arc in enumerate(self.nodes):
-            iv = arc.interval
+        for i, iv in enumerate(self.nodes):
             lines.append(f'  n{i} [label="[{iv.start},{iv.start + iv.length})"];')
         for u, v in self.edges:
             lines.append(f"  n{u} -- n{v};")
@@ -85,15 +59,28 @@ def build_arc_graph(cover: SaturatedCover) -> ArcGraph:
 
 def arc_graph_from_intervals(intervals, n_points: int, closed: bool) -> ArcGraph:
     """Arc graph of arbitrary intervals (not necessarily a saturated cover):
-    edges between arcs sharing at least one angle (touching endpoints
-    count); `proper` reports whether any arc contains another."""
-    arcs = tuple(CircularArc(IndexInterval(*iv), n_points) for iv in intervals)
-    edges = []
+    edges between arcs sharing at least one index (touching endpoints
+    count); `proper` reports whether any arc contains another.
+
+    Intervals need 0 <= start < n_points and 1 <= length <= n_points, and
+    start + length <= n_points on an open path.  Two arcs meet iff the start
+    of one lies on the other, and an arc contains another only if the
+    other's start lies on it, so bisecting the sorted starts finds every
+    edge and containment in O(m log m + E).
+    """
+    nodes = tuple(IndexInterval(*iv) for iv in intervals)
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i].start)
+    starts = [nodes[i].start for i in order]
+    edges = set()
     proper = True
-    for u in range(len(arcs)):
-        for v in range(u + 1, len(arcs)):
-            if arcs[u].intersects(arcs[v], closed):
-                edges.append((u, v))
-            if arcs[u].contains(arcs[v], closed) or arcs[v].contains(arcs[u], closed):
-                proper = False
-    return ArcGraph(arcs, tuple(edges), proper, interval=not closed)
+    for u, (start, length) in enumerate(nodes):
+        end = start + length
+        hits = order[bisect_left(starts, start):bisect_left(starts, end)]
+        if end > n_points:  # a closed arc wrapping past index 0
+            hits += order[:bisect_left(starts, end - n_points)]
+        for v in hits:
+            if v != u:
+                edges.add((min(u, v), max(u, v)))
+                if proper and interval_contains(n_points, closed, nodes[u], nodes[v]):
+                    proper = False
+    return ArcGraph(nodes, tuple(sorted(edges)), proper, interval=not closed)

@@ -69,6 +69,9 @@ def _parse_params(items) -> dict:
 def _spec_from_args(args) -> PredicateSpec:
     if not args.predicate:
         raise PredicateError("a predicate is required (--predicate NAME)")
+    if any(info.name == args.predicate and not info.conservative for info in list_predicates()):
+        raise PredicateError(f"predicate {args.predicate!r} is not conservative; "
+                             "covers need a conservative predicate")
     return PredicateSpec(args.predicate, _parse_params(args.param))
 
 

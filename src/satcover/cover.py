@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .paths import DigitalPath, IndexInterval, enumerate_subpaths, interval_contains
+from .paths import DigitalPath, IndexInterval, interval_contains
 from .predicates import PredicateSpec, Recognizer, make_recognizer
 
 
@@ -228,35 +228,18 @@ def brute_force_cover(
     path: DigitalPath,
     spec: PredicateSpec,
     max_points: int = 500,
-    literal: bool = False,
 ) -> SaturatedCover:
     """Ground truth by definition, for desk-scale inputs.
 
-    Default mode finds, for every start, the longest true interval (true
-    lengths form a prefix, the predicate being conservative) and keeps it
-    when its one-point negative extension is false or impossible.  With
-    ``literal=True`` every interval is evaluated statelessly and true
-    intervals contained in other true intervals are removed; this is the
-    definition verbatim but needs O(n^2) checks, so keep n small.
+    Finds, for every start, the longest true interval (true lengths form a
+    prefix, the predicate being conservative) and keeps it when its
+    one-point negative extension is false or impossible.
     """
     n1 = path.n_points
     if n1 > max_points:
         raise CoverCapError(f"path has {n1} points, above the brute-force cap {max_points}")
     rec = make_recognizer(spec, path)
     closed = path.closed
-
-    if literal:
-        true_ivs = [iv for iv in enumerate_subpaths(path) if rec.holds(iv)]
-        if closed and any(iv.length == n1 for iv in true_ivs):
-            # full-turn intervals at every start share one index set; the
-            # whole circle is the single saturated subpath, start 0 canonical
-            return _finish(path, spec, {(0, n1): None}, rec)
-        keys = {}
-        for iv in true_ivs:
-            if any(o != iv and interval_contains(n1, closed, o, iv) for o in true_ivs):
-                continue
-            keys[(iv.start, iv.length)] = None
-        return _finish(path, spec, keys, rec)
 
     lmax = [0] * n1
     s = _seed(rec, 0, n1)

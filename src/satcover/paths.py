@@ -140,14 +140,6 @@ class IndexInterval(NamedTuple):
         for k in range(self.length):
             yield (self.start + k) % n_points
 
-    def end(self, n_points: int) -> int:
-        """Index of the last point (mod n_points)."""
-        return (self.start + self.length - 1) % n_points
-
-
-def interval_points(path: DigitalPath, iv: IndexInterval) -> list[Point]:
-    return [path.points[i] for i in iv.indices(path.n_points)]
-
 
 def interval_contains(n_points: int, closed: bool, outer: IndexInterval, inner: IndexInterval) -> bool:
     """True iff inner's index range is a subset of outer's (circularly for closed)."""
@@ -161,74 +153,10 @@ def interval_contains(n_points: int, closed: bool, outer: IndexInterval, inner: 
     return offset + inner.length <= outer.length
 
 
-def intervals_intersect(n_points: int, closed: bool, a: IndexInterval, b: IndexInterval) -> bool:
-    """True iff the two index ranges share at least one index."""
-    if not closed:
-        return max(a.start, b.start) <= min(a.start + a.length, b.start + b.length) - 1
-    if a.length == n_points or b.length == n_points:
-        return True
-    off_ab = (b.start - a.start) % n_points
-    off_ba = (a.start - b.start) % n_points
-    return off_ab < a.length or off_ba < b.length
-
-
 def middle_index(iv: IndexInterval, n_points: int) -> int:
     """The index from which the interval is rebuilt by alternating,
     positive-first additions: start + floor((length-1)/2), mod n_points."""
     return (iv.start + (iv.length - 1) // 2) % n_points
-
-
-def rebuild_from_middle(iv: IndexInterval, n_points: int) -> list[int]:
-    """Indices of iv in alternating order around its middle (m, m+1, m-1, ...)."""
-    m = iv.start + (iv.length - 1) // 2
-    out = [m]
-    step = 1
-    while len(out) < iv.length:
-        out.append(m + step)
-        if len(out) < iv.length:
-            out.append(m - step)
-        step += 1
-    return [k % n_points for k in out]
-
-
-def enumerate_subpaths(path: DigitalPath, max_len: Optional[int] = None) -> Iterator[IndexInterval]:
-    """Every valid IndexInterval of the path, exactly once.
-
-    Open path of n+1 points: all (start, length) with start+length <= n+1,
-    i.e. (n+1)(n+2)/2 intervals.  Closed path: every start with lengths
-    1 .. n+1, i.e. (n+1)^2 intervals.
-    """
-    n1 = path.n_points
-    for start in range(n1):
-        longest = n1 if path.closed else n1 - start
-        if max_len is not None:
-            longest = min(longest, max_len)
-        for length in range(1, longest + 1):
-            yield IndexInterval(start, length)
-
-
-def canonical_extension(path: DigitalPath, t: float) -> tuple[float, float]:
-    """Evaluate the polygonal curve through the path's points at parameter t.
-
-    Uniform vertex parametrization: vertex k sits at t = k/n for an open
-    path (k/(n+1) when closed, so t=1 returns to the first point).  A
-    single-point open path is constant.
-    """
-    if not 0 <= t <= 1:
-        raise ValueError(f"parameter t={t} outside [0, 1]")
-    pts = path.points
-    n1 = len(pts)
-    if n1 == 1 and not path.closed:
-        return (float(pts[0][0]), float(pts[0][1]))
-    segments = n1 if path.closed else n1 - 1
-    pos = t * segments
-    k = int(pos)
-    if k >= segments:
-        k = segments - 1
-    frac = pos - k
-    p = pts[k % n1]
-    q = pts[(k + 1) % n1]
-    return (p[0] + frac * (q[0] - p[0]), p[1] + frac * (q[1] - p[1]))
 
 
 # ---------------------------------------------------------------------------

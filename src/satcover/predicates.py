@@ -396,12 +396,6 @@ class DssRecognizer(Recognizer):
         return None
 
 
-def dss_holds(path: DigitalPath, iv: IndexInterval) -> bool:
-    """Stateless DSS test: does some line band of the right width contain
-    every point of the interval?  Wraps the incremental recognizer."""
-    return DssRecognizer(path).holds(iv)
-
-
 # ---------------------------------------------------------------------------
 # The other shipped predicates
 # ---------------------------------------------------------------------------
@@ -631,7 +625,11 @@ def make_recognizer(spec: PredicateSpec, path: DigitalPath) -> Recognizer:
     if spec.name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise PredicateError(f"unknown predicate {spec.name!r} (known: {known})")
-    return _REGISTRY[spec.name].factory(spec, path)
+    info = _REGISTRY[spec.name]
+    for key in sorted(spec.params):
+        if key not in info.params:
+            raise PredicateError(f"predicate {spec.name!r} has no parameter {key!r}")
+    return info.factory(spec, path)
 
 
 # ---------------------------------------------------------------------------

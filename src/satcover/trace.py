@@ -34,13 +34,6 @@ class EmitError(TraceError):
     """A seam could not be made adjacent while flattening a tour."""
 
 
-def branching_index(img: BinaryImage, p: Point, adjacency: Adjacency) -> int:
-    """Number of foreground neighbours of a foreground pixel."""
-    if p not in img.foreground:
-        raise ValueError(f"pixel {p} is not foreground")
-    return sum(1 for q in neighbours(p, adjacency) if q in img.foreground)
-
-
 # Neighbour offsets in sorted order: adding p keeps their lexicographic
 # order, so p's neighbours come out as sorted(neighbours(p, adjacency)).
 _SORTED_OFFSETS = {adj: tuple(sorted(neighbours((0, 0), adj)))
@@ -88,11 +81,11 @@ def components(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]
 
 @dataclass(frozen=True)
 class Junction:
-    """Maximal connected set of branching pixels; its branching index is the
-    number of regular pixels adjacent to it."""
+    """Maximal connected set of branching pixels; `attachments` counts the
+    foreground pixels outside it that are adjacent to it."""
 
     pixels: frozenset[Point]
-    branching_index: int
+    attachments: int
 
 
 def _neighbour_table(pixels, adjacency: Adjacency) -> dict[Point, list[Point]]:
@@ -252,6 +245,8 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
     table = _neighbour_table(img.foreground, adjacency)
     if len(_table_sets(table, table)) != 1:
         raise TraceError("expected a single connected component")
+    if len(table) == 1:
+        return CurveGraph((Vertex("end", tuple(table)),), (), adjacency)
 
     junctions = _junctions(table)
     vertices = [Vertex("junction", tuple(sorted(j.pixels))) for j in junctions]

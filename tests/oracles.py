@@ -14,16 +14,32 @@ and decode exactly like it.
 image for components again, computes branching indices pixel by pixel and
 orders each chain from its own neighbour dict; the neighbour-table builder
 must return the same graph or raise the same exception type.
+
+`arc_graph_reference` is the arc-graph builder that tests every pair of
+arcs; the sorted-start builder must return the same nodes, edges and
+`proper` flag.  `literal_cover` is the saturated cover by its definition
+verbatim: every interval is evaluated and true intervals contained in
+other true intervals are dropped.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from satcover.paths import Adjacency, DigitalPath, IndexInterval, Point, interval_points, neighbours
+from satcover.arcs import ArcGraph
+from satcover.cover import SaturatedCover
+from satcover.paths import (
+    Adjacency,
+    DigitalPath,
+    IndexInterval,
+    Point,
+    interval_contains,
+    neighbours,
+)
 from satcover.pbm import BinaryImage, PbmError
+from satcover.predicates import PredicateSpec, make_recognizer
 from satcover.trace import (
     CurveGraph,
     Edge,
@@ -31,9 +47,82 @@ from satcover.trace import (
     TraceError,
     Vertex,
     _connected_sets,
-    branching_index,
     components,
 )
+
+
+def interval_points(path: DigitalPath, iv: IndexInterval) -> list[Point]:
+    return [path.points[i] for i in iv.indices(path.n_points)]
+
+
+def intervals_intersect(n_points: int, closed: bool, a: IndexInterval, b: IndexInterval) -> bool:
+    """True iff the two index ranges share at least one index."""
+    if not closed:
+        return max(a.start, b.start) <= min(a.start + a.length, b.start + b.length) - 1
+    if a.length == n_points or b.length == n_points:
+        return True
+    off_ab = (b.start - a.start) % n_points
+    off_ba = (a.start - b.start) % n_points
+    return off_ab < a.length or off_ba < b.length
+
+
+def arc_graph_reference(intervals, n_points: int, closed: bool) -> ArcGraph:
+    """The all-pairs arc-graph builder that `satcover.arcs.arc_graph_from_intervals`
+    replaced: an edge for every pair of arcs sharing an index, and `proper`
+    False when either arc of some pair contains the other."""
+    nodes = tuple(IndexInterval(*iv) for iv in intervals)
+    edges = []
+    proper = True
+    for u in range(len(nodes)):
+        for v in range(u + 1, len(nodes)):
+            if intervals_intersect(n_points, closed, nodes[u], nodes[v]):
+                edges.append((u, v))
+            if (interval_contains(n_points, closed, nodes[u], nodes[v])
+                    or interval_contains(n_points, closed, nodes[v], nodes[u])):
+                proper = False
+    return ArcGraph(nodes, tuple(edges), proper, interval=not closed)
+
+
+def enumerate_subpaths(path: DigitalPath, max_len: Optional[int] = None) -> Iterator[IndexInterval]:
+    """Every valid IndexInterval of the path, exactly once.
+
+    Open path of n+1 points: all (start, length) with start+length <= n+1,
+    i.e. (n+1)(n+2)/2 intervals.  Closed path: every start with lengths
+    1 .. n+1, i.e. (n+1)^2 intervals.
+    """
+    n1 = path.n_points
+    for start in range(n1):
+        longest = n1 if path.closed else n1 - start
+        if max_len is not None:
+            longest = min(longest, max_len)
+        for length in range(1, longest + 1):
+            yield IndexInterval(start, length)
+
+
+def literal_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
+    """Every interval is evaluated statelessly and true intervals contained
+    in other true intervals are removed.  This is the definition of the
+    saturated cover verbatim, but it needs O(n^2) checks, so keep n small."""
+    n1 = path.n_points
+    closed = path.closed
+    rec = make_recognizer(spec, path)
+    true_ivs = [iv for iv in enumerate_subpaths(path) if rec.holds(iv)]
+    if closed and any(iv.length == n1 for iv in true_ivs):
+        # full-turn intervals at every start share one index set; the
+        # whole circle is the single saturated subpath, start 0 canonical
+        segments = (IndexInterval(0, n1),)
+    else:
+        segments = tuple(sorted(
+            iv for iv in true_ivs
+            if not any(o != iv and interval_contains(n1, closed, o, iv) for o in true_ivs)))
+    return SaturatedCover(n1, closed, spec, segments, rec.calls)
+
+
+def branching_index(img: BinaryImage, p: Point, adjacency: Adjacency) -> int:
+    """Number of foreground neighbours of a foreground pixel."""
+    if p not in img.foreground:
+        raise ValueError(f"pixel {p} is not foreground")
+    return sum(1 for q in neighbours(p, adjacency) if q in img.foreground)
 
 
 def dss_feasible(path: DigitalPath, iv: IndexInterval) -> bool:

@@ -1,22 +1,13 @@
-from fractions import Fraction
+import random
 
-import pytest
 from hypothesis import given, strategies as st
 
+from oracles import arc_graph_reference, intervals_intersect
 from satcover import synth
-from satcover.arcs import CircularArc, arc_graph_from_intervals, build_arc_graph, phi
+from satcover.arcs import arc_graph_from_intervals, build_arc_graph
 from satcover.cover import saturated_cover
-from satcover.paths import Adjacency, DigitalPath, IndexInterval
+from satcover.paths import Adjacency, DigitalPath, IndexInterval, interval_contains
 from satcover.predicates import PredicateSpec
-
-
-def test_phi_examples():
-    assert phi(0, 9) == 0
-    assert phi(2, 7) == Fraction(1, 4)
-    assert phi(3, 3) == Fraction(3, 4)
-    assert phi(IndexInterval(6, 4).end(8), 7) == Fraction(1, 8)  # end index 9 wraps to 1
-    with pytest.raises(ValueError):
-        phi(5, 3)
 
 
 def test_sliding_windows_overlap_graph():
@@ -68,10 +59,45 @@ def test_inclusion_preserving(data):
     inner_off = data.draw(st.integers(0, outer_len - inner_len))
     outer = IndexInterval(outer_start, outer_len)
     inner = IndexInterval((outer_start + inner_off) % n, inner_len)
-    a = CircularArc(outer, n)
-    b = CircularArc(inner, n)
-    assert a.contains(b, closed)
-    assert a.intersects(b, closed)
+    assert interval_contains(n, closed, outer, inner)
+    assert intervals_intersect(n, closed, outer, inner)
+
+
+def _random_family(rng: random.Random, n: int, closed: bool) -> list[tuple[int, int]]:
+    """Up to 9 intervals of a path of n points, drawn so that wraps,
+    touching ends, full circles, duplicates and nesting all occur often."""
+    family = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.random()
+        if family and kind < 0.15:  # a duplicate
+            family.append(rng.choice(family))
+            continue
+        if family and kind < 0.35:  # nested in, or touching the end of, an earlier one
+            s, k = rng.choice(family)
+            if rng.random() < 0.5:
+                off = rng.randint(0, k - 1)
+                start, length = s + off, rng.randint(1, k - off)
+            else:
+                start, length = s + k, rng.randint(1, n)
+            start %= n
+        elif closed and kind < 0.45:  # the full circle, at any start
+            start, length = rng.randrange(n), n
+        else:
+            start, length = rng.randrange(n), rng.randint(1, n)
+        if not closed:
+            length = min(length, n - start)
+        family.append((start, length))
+    return family
+
+
+def test_matches_all_pairs_reference():
+    rng = random.Random(6)
+    for trial in range(20_000):
+        n = rng.choice((1, 2, 3, rng.randint(4, 12), rng.randint(13, 60)))
+        closed = rng.random() < 0.5
+        family = _random_family(rng, n, closed)
+        got = arc_graph_from_intervals(family, n, closed)
+        assert got == arc_graph_reference(family, n, closed), (trial, n, closed, family)
 
 
 def test_edges_symmetric_irreflexive():

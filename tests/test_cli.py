@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from satcover.pbm import BinaryImage, dump_p1, dump_p4, image_from_ascii
 from satcover.svg import render_trace_svg
 from satcover.trace import find_junctions, trace_image
 from satcover import synth
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_pbm(tmp_path, name, art, raw=False):
@@ -139,6 +145,20 @@ def test_cover_bad_predicate_exits_2(tmp_path, capsys):
     index_path = synth.random_index_path(6, seed=0)
     src2 = write_path(tmp_path, index_path, "idx.json")
     assert main(["cover", str(src2), "--predicate", "dss"]) == 2
+    capsys.readouterr()
+    refused = [
+        ["cover", str(src), "--predicate", "dss", "--param", "foo=1"],
+        ["cover", str(src), "--predicate", "max_len", "--param", "k=3", "--param", "j=1"],
+        ["graph", str(src), "--predicate", "x_monotone", "--param", "k=2"],
+        ["probe", "--predicate", "dss", "--param", "foo=1", "--sizes", "10"],
+        ["cover", str(src), "--predicate", "contains_start"],
+        ["graph", str(src), "--predicate", "contains_start"],
+        ["probe", "--predicate", "contains_start", "--sizes", "10"],
+    ]
+    for argv in refused:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), (argv, out, err)
 
 
 def test_cover_rejects_invalid_path_json(tmp_path, capsys):
@@ -210,3 +230,13 @@ def test_list_predicates(capsys):
     for name in ("dss", "max_len", "x_monotone", "y_monotone", "bbox", "contains_start"):
         assert name in out
     assert "non-conservative" in out
+
+
+def test_trace_demo_script_runs(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "trace_demo.py"),
+                           "--out-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "demo_trace.svg").is_file()
+    assert (tmp_path / "demo_c0.cover.json").is_file()

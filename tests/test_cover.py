@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import literal_cover
 from satcover import synth
 from satcover.cover import (
     CoverCapError,
@@ -77,8 +78,7 @@ def test_always_true_closed_path_is_one_full_turn():
     spec = PredicateSpec("max_len", {"k": 99})
     for fn in (saturated_cover, forward_cover, brute_force_cover):
         assert segs(fn(path, spec)) == [(0, n1)]
-    lit = brute_force_cover(path, spec, literal=True)
-    assert segs(lit) == [(0, n1)]
+    assert segs(literal_cover(path, spec)) == [(0, n1)]
 
 
 def test_never_true_predicate_gives_empty_cover():
@@ -124,7 +124,7 @@ def test_literal_brute_force_agrees_on_small_paths():
             if not applicable(spec, path):
                 continue
             fast = brute_force_cover(path, spec)
-            lit = brute_force_cover(path, spec, literal=True)
+            lit = literal_cover(path, spec)
             assert fast.segments == lit.segments, (spec, path.points)
 
 

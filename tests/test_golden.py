@@ -2,9 +2,11 @@
 
 The cover, graph and trace modules may be restructured freely as long as
 these digests hold.  Cover JSON includes `predicate_calls`, so the digests
-also pin the exact number of predicate evaluations of every route.  To
-re-pin after an intended output change, run this file as a script and
-paste the printed dictionaries.
+also pin the exact number of predicate evaluations of every route.  The
+at-scale rows pin the arc graphs of covers with hundreds to thousands of
+overlapping arcs, wrapping ones included, which the small corpus never
+produces.  To re-pin after an intended output change, run this file as a
+script and paste the printed dictionaries.
 """
 
 import hashlib
@@ -45,6 +47,12 @@ COVER_DIGESTS = {
     "y_monotone sweep": ("2a91c04c29f3a958", "cbebd21398ab99a6", "cfcaa87f01325dea"),
     "y_monotone forward": ("ccad1c66a5c49250", "cbebd21398ab99a6", "cfcaa87f01325dea"),
     "y_monotone brute": ("215ff771f456ff8b", "cbebd21398ab99a6", "cfcaa87f01325dea"),
+}
+
+SCALE_DIGESTS = {
+    "max_len[k=8] open 4-walk": (1493, 10423, "565fa64e23f28f09", "902366f1dc7ec37b"),
+    "max_len[k=8] closed 8-walk": (1537, 10759, "402fac2ddecaef96", "1cf103f154a681f5"),
+    "dss circle r=700": (360, 880, "3595c342482519dc", "d6558fcb8087fbfb"),
 }
 
 TRACE_DIGESTS = {
@@ -107,6 +115,25 @@ def cover_digests() -> dict:
     return out
 
 
+def scale_inputs() -> dict:
+    return {
+        "max_len[k=8] open 4-walk": (synth.random_walk_path(1500, Adjacency.FOUR, seed=31),
+                                     PredicateSpec("max_len", {"k": 8})),
+        "max_len[k=8] closed 8-walk": (synth.random_closed_path(3000, Adjacency.EIGHT, seed=32),
+                                       PredicateSpec("max_len", {"k": 8})),
+        "dss circle r=700": (synth.digitized_circle_path(700), PredicateSpec("dss")),
+    }
+
+
+def scale_digests() -> dict:
+    out = {}
+    for name, (path, spec) in scale_inputs().items():
+        graph = build_arc_graph(saturated_cover(path, spec))
+        out[name] = (len(graph.nodes), len(graph.edges), _sha([graph.to_json()]),
+                     _sha([graph.to_dot()]))
+    return out
+
+
 def _solid(width: int, height: int) -> BinaryImage:
     return BinaryImage(width, height,
                        frozenset((x, y) for x in range(width) for y in range(height)))
@@ -151,6 +178,10 @@ def test_cover_graph_and_dot_digests():
     assert cover_digests() == COVER_DIGESTS
 
 
+def test_arc_graph_digests_at_scale():
+    assert scale_digests() == SCALE_DIGESTS
+
+
 def test_trace_path_digests():
     assert trace_digests() == TRACE_DIGESTS
 
@@ -159,4 +190,5 @@ if __name__ == "__main__":
     import pprint
 
     pprint.pprint(cover_digests(), width=100, sort_dicts=False)
+    pprint.pprint(scale_digests(), width=100, sort_dicts=False)
     pprint.pprint(trace_digests(), width=100, sort_dicts=False)

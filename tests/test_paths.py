@@ -1,23 +1,18 @@
 import json
-import math
 
 import pytest
-from hypothesis import given, strategies as st
 
+from oracles import enumerate_subpaths, intervals_intersect
 from satcover.paths import (
     Adjacency,
     DigitalPath,
     IndexInterval,
     PathFormatError,
-    canonical_extension,
-    enumerate_subpaths,
     interval_contains,
-    intervals_intersect,
     is_adjacent,
     middle_index,
     path_from_json,
     path_to_json,
-    rebuild_from_middle,
     validate_path,
 )
 from satcover import synth
@@ -62,18 +57,6 @@ def test_middle_index_examples():
     assert middle_index(IndexInterval(8, 5), 10) == 0
 
 
-@given(n=st.integers(1, 60), data=st.data())
-def test_middle_rebuild_reproduces_interval(n, data):
-    start = data.draw(st.integers(0, n - 1))
-    length = data.draw(st.integers(1, n))
-    iv = IndexInterval(start, length)
-    order = rebuild_from_middle(iv, n)
-    assert order[0] == middle_index(iv, n)
-    assert sorted(order) == sorted(iv.indices(n))
-    if length >= 2:  # first addition goes to the positive side
-        assert order[1] == (order[0] + 1) % n
-
-
 @pytest.mark.parametrize("closed", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 30])
 def test_same_middle_intervals_nested(n, closed):
@@ -88,35 +71,6 @@ def test_same_middle_intervals_nested(n, closed):
         ivs.sort(key=lambda iv: iv.length)
         for small, big in zip(ivs, ivs[1:]):
             assert interval_contains(n, closed, big, small)
-
-
-def test_canonical_extension_examples():
-    path = DigitalPath(((0, 0), (1, 0), (2, 0)))
-    assert canonical_extension(path, 0) == (0.0, 0.0)
-    assert canonical_extension(path, 1) == (2.0, 0.0)
-    assert canonical_extension(path, 0.5) == (1.0, 0.0)
-    two = DigitalPath(((0, 0), (1, 0)))
-    assert canonical_extension(two, 0.25) == (0.25, 0.0)
-    single = DigitalPath(((4, 7),))
-    assert canonical_extension(single, 0.3) == (4.0, 7.0)
-    ring = DigitalPath(((0, 0), (1, 0), (1, 1), (0, 1)), closed=True, adjacency=Adjacency.FOUR)
-    assert canonical_extension(ring, 1.0) == (0.0, 0.0)
-    assert canonical_extension(ring, 0.25) == (1.0, 0.0)
-    with pytest.raises(ValueError):
-        canonical_extension(path, 1.5)
-    with pytest.raises(ValueError):
-        canonical_extension(path, -0.1)
-
-
-@given(seed=st.integers(0, 10_000), t1=st.floats(0, 1), t2=st.floats(0, 1))
-def test_canonical_extension_lipschitz(seed, t1, t2):
-    path = synth.random_walk_path(12, Adjacency.EIGHT, seed=seed)
-    a = canonical_extension(path, t1)
-    b = canonical_extension(path, t2)
-    # step length <= sqrt(2), 11 segments
-    lip = 11 * math.sqrt(2)
-    dist = math.hypot(a[0] - b[0], a[1] - b[1])
-    assert dist <= lip * abs(t1 - t2) + 1e-9
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 41, 100])

@@ -10,7 +10,6 @@ from satcover.predicates import (
     PredicateError,
     PredicateSpec,
     check_conservative,
-    dss_holds,
     list_predicates,
     make_recognizer,
 )
@@ -39,15 +38,15 @@ def random_grid_path(rng, max_points=30):
 
 def test_dss_holds_examples():
     run = DigitalPath(((0, 0), (1, 0), (2, 0), (3, 0)))
-    assert dss_holds(run, IndexInterval(0, 4))
+    assert DssRecognizer(run).holds(IndexInterval(0, 4))
 
     stairs = DigitalPath(((0, 0), (1, 0), (1, 1), (2, 1), (3, 1)), adjacency=Adjacency.FOUR)
     assert dss_feasible(stairs, IndexInterval(0, 5))  # oracle agrees it is a segment
-    assert dss_holds(stairs, IndexInterval(0, 5))
+    assert DssRecognizer(stairs).holds(IndexInterval(0, 5))
 
     hook = DigitalPath(((0, 0), (1, 0), (1, 1), (1, 2), (2, 2), (2, 1)), adjacency=Adjacency.FOUR)
     assert not dss_feasible(hook, IndexInterval(0, 6))
-    assert not dss_holds(hook, IndexInterval(0, 6))
+    assert not DssRecognizer(hook).holds(IndexInterval(0, 6))
 
 
 def test_dss_rejects_index_adjacency():
@@ -106,10 +105,10 @@ def test_dss_matches_feasibility_oracle_exhaustively():
 def test_dss_accepts_revisits_within_a_band():
     # back and forth along a row stays inside one digital line
     path = DigitalPath(((0, 0), (1, 0), (2, 0), (1, 0), (0, 0)))
-    assert dss_holds(path, IndexInterval(0, 5))
+    assert DssRecognizer(path).holds(IndexInterval(0, 5))
     # but leaving the band is caught even after revisits
     bent = DigitalPath(((0, 0), (1, 0), (0, 0), (0, 1)))
-    assert not dss_holds(bent, IndexInterval(0, 4))
+    assert not DssRecognizer(bent).holds(IndexInterval(0, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@ import random
 import pytest
 
 from fixtures import ALL_FIXTURES, fixture_image
-from oracles import build_curve_graph_reference, find_junctions_reference, min_matching_weight
+from oracles import (
+    branching_index,
+    build_curve_graph_reference,
+    find_junctions_reference,
+    min_matching_weight,
+)
 from satcover.paths import Adjacency, is_adjacent, validate_path
 from satcover.pbm import BinaryImage, image_from_ascii
 from satcover.trace import (
@@ -13,7 +18,6 @@ from satcover.trace import (
     TraceError,
     Vertex,
     _vertex_dijkstra,
-    branching_index,
     build_curve_graph,
     components,
     euler_open_trail,
@@ -55,7 +59,7 @@ def test_find_junctions():
     js = find_junctions(plus, FOUR)
     assert len(js) == 1
     assert js[0].pixels == frozenset({(1, 1)})
-    assert js[0].branching_index == 4
+    assert js[0].attachments == 4
 
     corridor = fixture_image("two_junction_corridor")
     js = find_junctions(corridor, FOUR)
@@ -96,6 +100,10 @@ def test_segment_graph():
     assert _kinds(g) == ["end", "end"]
     assert len(g.edges) == 1
     assert len(g.edges[0].pixels) == 3  # the end pixels live on the vertices
+    for adjacency in (FOUR, EIGHT):  # a lone pixel is one end vertex
+        g = build_curve_graph(image_from_ascii("#"), adjacency)
+        assert g.vertices == (Vertex("end", ((0, 0),)),)
+        assert g.edges == ()
 
 
 def test_plus_graph():
