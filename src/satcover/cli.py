@@ -59,8 +59,11 @@ def _parse_params(items) -> dict:
         if "=" not in item:
             raise PredicateError(f"--param wants k=v, got {item!r}")
         key, _, value = item.partition("=")
+        key = key.strip()
+        if key in params:
+            raise PredicateError(f"--param {key} given more than once")
         try:
-            params[key.strip()] = int(value)
+            params[key] = int(value)
         except ValueError:
             raise PredicateError(f"parameter {key!r} must be an integer, got {value!r}") from None
     return params
@@ -239,12 +242,13 @@ def _cmd_probe(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     rows = complexity_probe(spec, sizes, factory)
-    print(f"{'n':>10} {'calls':>12} {'calls/n':>10}")
+    print(f"{'n':>10} {'calls':>12} {'calls/n':>10} {'seconds':>10} {'us/n':>10}")
     for row in rows:
-        print(f"{row.n_points:>10} {row.predicate_calls:>12} {row.ratio:>10.3f}")
+        print(f"{row.n_points:>10} {row.predicate_calls:>12} {row.ratio:>10.3f} "
+              f"{row.seconds:>10.3f} {row.us_per_point:>10.2f}")
     if args.output:
-        doc = _dump([{"n": r.n_points, "calls": r.predicate_calls, "ratio": r.ratio}
-                     for r in rows])
+        doc = _dump([{"n": r.n_points, "calls": r.predicate_calls, "ratio": r.ratio,
+                      "seconds": r.seconds} for r in rows])
         _atomic_write(FsPath(args.output), doc)
     return EXIT_OK
 

@@ -15,6 +15,7 @@ Three routes are provided: the two-sided alternating sweep
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -284,10 +285,15 @@ def segment_is_saturated(path: DigitalPath, spec: PredicateSpec, iv: IndexInterv
 class ProbeRow:
     n_points: int
     predicate_calls: int
+    seconds: float  # wall time of the sweep alone, path generation excluded
 
     @property
     def ratio(self) -> float:
         return self.predicate_calls / self.n_points
+
+    @property
+    def us_per_point(self) -> float:
+        return self.seconds * 1e6 / self.n_points
 
 
 def complexity_probe(
@@ -296,11 +302,12 @@ def complexity_probe(
     path_factory: Callable[[int], DigitalPath],
 ) -> list[ProbeRow]:
     """Run the sweep on synthetic paths of the given sizes and tabulate the
-    predicate-call counts; calls/n staying flat across sizes exhibits the
-    linear evaluation complexity."""
+    predicate-call counts and times; calls/n and time/n staying flat across
+    sizes exhibit linear complexity in evaluations and in time."""
     rows = []
     for size in sizes:
         path = path_factory(size)
+        t0 = time.perf_counter()
         cov = saturated_cover(path, spec)
-        rows.append(ProbeRow(path.n_points, cov.predicate_calls))
+        rows.append(ProbeRow(path.n_points, cov.predicate_calls, time.perf_counter() - t0))
     return rows

@@ -48,8 +48,7 @@ class Recognizer:
     singleton and reports whether the predicate holds there; each
     `try_extend_*` either succeeds (the interval grows by one point) or
     fails leaving the state unchanged.  `remove_negative_end` drops the
-    first point; subclasses that cannot do this in O(1) re-derive their
-    state in O(length), which is noted per predicate.
+    first point; each predicate notes what its removal costs.
 
     `calls` counts predicate evaluations: one per `reset`, one per
     `try_extend_*` (successful or not) and one per `holds`.  Removals are
@@ -195,11 +194,17 @@ _PERP_TURNS = {
 
 
 class DssRecognizer(Recognizer):
-    """Arithmetic DSS recognition with extension at both ends.
+    """Arithmetic DSS recognition with O(1) extension and removal at both
+    ends of the core.
 
-    Removal at the negative end is O(1) for the bookkeeping but lazily
-    re-derives the characteristics from the surviving core (O(length))
-    before the next geometric extension.
+    Extension is the incremental recognition of Debled-Rennesson and
+    Reveilles.  Removal is its inverse, the retraction step of maximal
+    segment computation (Feschet & Tougne, *Optimal time computation of the
+    tangent of a discrete curve*, DGCI 1999; Lachaud, Vialard & de
+    Vieilleville, *Fast, accurate and convergent tangent estimation on
+    digital contours*, IVC 2007): the characteristics change only when the
+    removed extremity was one of exactly two leaning points of its kind
+    and the other kind has one.
     """
 
     def __init__(self, path: DigitalPath):
@@ -210,10 +215,9 @@ class DssRecognizer(Recognizer):
         self._turns = _DIAG_TURNS if self._naive else _PERP_TURNS
         self._counts: Counter = Counter()
         self._core: deque = deque()
-        self._dirty = False
         self._chars = None  # (a, b, mu) or None while the core is a singleton
         self._lean = None  # (Uf, Ul, Lf, Ll) in core order
-        self._dirs: set = set()
+        self._steps: dict = {}  # step vector -> occurrences in the core
 
     # -- characteristics ----------------------------------------------------
 
@@ -225,8 +229,6 @@ class DssRecognizer(Recognizer):
 
         None for a single-point core, where the line is unconstrained.
         """
-        if self._dirty:
-            self._rebuild()
         if self._chars is None:
             return None
         a, b, mu = self._chars
@@ -242,8 +244,7 @@ class DssRecognizer(Recognizer):
         self._core = deque([p])
         self._chars = None
         self._lean = None
-        self._dirs = set()
-        self._dirty = False
+        self._steps = {}
         return True
 
     def _try_add(self, index: int, p: Point, positive: bool, closing: bool) -> bool:
@@ -252,12 +253,13 @@ class DssRecognizer(Recognizer):
         if self._counts[p]:
             self._counts[p] += 1
             return True
-        if self._dirty:
-            self._rebuild()
-        if self._core_extend(p, front=True):
+        core = self._core
+        adjacency = self.path.adjacency
+        if is_adjacent(p, core[-1], adjacency) and self._core_extend(p, front=True):
             self._counts[p] = 1
             return True
-        if len(self._core) > 1 and self._core_extend(p, front=False):
+        if (len(core) > 1 and is_adjacent(p, core[0], adjacency)
+                and self._core_extend(p, front=False)):
             self._counts[p] = 1
             return True
         return False
@@ -270,52 +272,118 @@ class DssRecognizer(Recognizer):
         # A point whose last occurrence leaves the interval is always a
         # geometric extremity: interior columns/rows stay visited as long
         # as the interval spans both sides of them.
-        if self._core[0] == p:
-            self._core.popleft()
-        elif self._core[-1] == p:
-            self._core.pop()
+        core = self._core
+        if core[0] == p:
+            core.popleft()
+            self._retract(p, core[0], back=True)
+        elif core[-1] == p:
+            core.pop()
+            self._retract(p, core[-1], back=False)
         else:
             raise AssertionError(f"removed point {p} is interior to the segment core")
-        self._dirty = True
 
     # -- core maintenance -----------------------------------------------------
 
-    def _rebuild(self) -> None:
-        pts = list(self._core)
-        self._core = deque([pts[0]])
-        self._chars = None
-        self._lean = None
-        self._dirs = set()
-        self._dirty = False
-        for q in pts[1:]:
-            if not self._core_extend(q, front=True):
-                raise AssertionError("core replay failed; recognizer state corrupt")
+    def _retract(self, p: Point, anchor: Point, back: bool) -> None:
+        """Update the state after extremity p, whose neighbour in the core is
+        `anchor`, left the back (first) or the front (last) of the core."""
+        step = (anchor[0] - p[0], anchor[1] - p[1]) if back else (p[0] - anchor[0], p[1] - anchor[1])
+        steps = self._steps
+        if steps[step] == 1:
+            del steps[step]
+        else:
+            steps[step] -= 1
+        if len(self._core) == 1:
+            self._chars = None
+            self._lean = None
+            return
+        a, b, _ = self._chars
+        uf, ul, lf, ll = self._lean
+        # leaning points of one kind are one period (b, a) apart; `u`, `l`
+        # are those at p's end of the core, `u_far`, `l_far` at the other
+        if back:
+            u, u_far, l, l_far = uf, ul, lf, ll
+            inward = (p[0] + b, p[1] + a)
+        else:
+            u, u_far, l, l_far = ul, uf, ll, lf
+            inward = (p[0] - b, p[1] - a)
+        if p == u and u_far == inward and l == l_far:
+            self._turn(u_far, l, 1 if back else -1)
+            return
+        if p == l and l_far == inward and u == u_far:
+            self._turn(u, l_far, -1 if back else 1)
+            return
+        # still two leaning points of one kind: the line stays pinned
+        if p == u:
+            u = inward
+        if p == l:
+            l = inward
+        self._lean = (u, u_far, l, l_far) if back else (u_far, u, l_far, l)
+
+    def _turn(self, up: Point, low: Point, sigma: int) -> None:
+        """New characteristics (a', b', mu') once the core has one upper
+        leaning point `up` and one lower leaning point `low` left.
+
+        With r'(x, y) = a'x - b'y: the removed point was one period (b, a)
+        from the survivor of its kind and one remainder step outside the
+        new band, so r'(b, a) = sigma (+1 for an upper point removed at the
+        back or a lower one at the front, -1 otherwise).  Together with
+        r'(low) - r'(up) = width' - 1, where the width is linear in
+        (b', a') inside the core's octant (quadrant when 4-connected), these
+        are two linear equations in (b', a').
+        """
+        a, b, _ = self._chars
+        # width(x, y) = sx * x + sy * y for every direction of the core's
+        # steps (each of which has width 1)
+        sb = 1 if b > 0 else -1
+        sa = 1 if a > 0 else -1
+        if self._naive:
+            sx, sy = (sb, 0) if abs(b) > abs(a) else (0, sa)
+        else:
+            sx, sy = sb, sa
+        tx = low[0] - up[0] - sy
+        ty = low[1] - up[1] + sx
+        det = b * ty - a * tx
+        nb = (b + sigma * tx) // det
+        na = (a + sigma * ty) // det
+        om = sx * nb + sy * na
+        self._chars = (na, nb, na * up[0] - nb * up[1])
+        first, last = self._core[0], self._core[-1]
+
+        def periods(p: Point, q: Point) -> int:
+            # whole periods from p forward to q; a point's position along
+            # the core is its width-weighted offset from the first point
+            return (sx * (q[0] - p[0]) + sy * (q[1] - p[1])) // om
+
+        def along(q: Point, k: int) -> Point:
+            return (q[0] + k * nb, q[1] + k * na)
+
+        self._lean = (along(up, -periods(first, up)), along(up, periods(up, last)),
+                      along(low, -periods(first, low)), along(low, periods(low, last)))
 
     def _allowed(self, step: Point) -> bool:
-        if len(self._dirs) == 2:
-            return step in self._dirs
-        (d,) = self._dirs
+        if len(self._steps) == 2:
+            return step in self._steps
+        (d,) = self._steps
         return step == d or step in self._turns.get(d, ())
 
     def _core_extend(self, p: Point, front: bool) -> bool:
+        """Add p, adjacent to the core's front (back) end, if the core stays
+        a DSS."""
         core = self._core
         if len(core) == 1:
             g = core[0]
             d = (p[0] - g[0], p[1] - g[1]) if front else (g[0] - p[0], g[1] - p[1])
-            if not is_adjacent(p, g, self.path.adjacency):
-                return False
             a, b = d[1], d[0]
             mu = a * g[0] - b * g[1]
             back, frontp = (g, p) if front else (p, g)
             self._chars = (a, b, mu)
             self._lean = (back, frontp, back, frontp)
-            self._dirs = {d}
+            self._steps = {d: 1}
             core.append(p) if front else core.appendleft(p)
             return True
 
         anchor = core[-1] if front else core[0]
-        if not is_adjacent(p, anchor, self.path.adjacency):
-            return False
         step = (p[0] - anchor[0], p[1] - anchor[1]) if front else (anchor[0] - p[0], anchor[1] - p[1])
         if not self._allowed(step):
             return False
@@ -366,8 +434,9 @@ class DssRecognizer(Recognizer):
         else:
             return False
 
-        self._dirs.add(step)
-        if len(self._dirs) > 2:
+        steps = self._steps
+        steps[step] = steps.get(step, 0) + 1
+        if len(steps) > 2:
             raise AssertionError("segment core acquired a third step direction")
         self._lean = (uf, ul, lf, ll)
         core.append(p) if front else core.appendleft(p)

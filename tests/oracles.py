@@ -15,6 +15,10 @@ image for components again, computes branching indices pixel by pixel and
 orders each chain from its own neighbour dict; the neighbour-table builder
 must return the same graph or raise the same exception type.
 
+`dss_replay` re-derives a DSS recognizer's state from its core points
+alone, by extending a fresh core one point at a time; the O(1) retraction
+must leave the same state as this replay.
+
 `arc_graph_reference` is the arc-graph builder that tests every pair of
 arcs; the sorted-start builder must return the same nodes, edges and
 `proper` flag.  `literal_cover` is the saturated cover by its definition
@@ -24,6 +28,7 @@ other true intervals are dropped.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -39,7 +44,7 @@ from satcover.paths import (
     neighbours,
 )
 from satcover.pbm import BinaryImage, PbmError
-from satcover.predicates import PredicateSpec, make_recognizer
+from satcover.predicates import DssRecognizer, PredicateSpec, make_recognizer
 from satcover.trace import (
     CurveGraph,
     Edge,
@@ -148,6 +153,36 @@ def dss_feasible(path: DigitalPath, iv: IndexInterval) -> bool:
     spread = r.max(axis=1) - r.min(axis=1)
     omega = np.maximum(np.abs(aa), np.abs(bb)) if naive else np.abs(aa) + np.abs(bb)
     return bool(np.any(spread <= omega - 1))
+
+
+def dss_state(rec: DssRecognizer) -> tuple:
+    """(characteristics, leaning points, step counts) of a DSS recognizer's
+    core.  The characteristics are sign-normalized like `characteristics()`;
+    a sign flip swaps the upper leaning points (Uf, Ul) with the lower ones
+    (Lf, Ll).  Step counts map each step vector between consecutive core
+    points to its number of occurrences."""
+    lean = rec._lean
+    if lean is not None:
+        a, b, _ = rec._chars
+        if a < 0 or (a == 0 and b < 0):
+            uf, ul, lf, ll = lean
+            lean = (lf, ll, uf, ul)
+    return rec.characteristics(), lean, dict(rec._steps)
+
+
+def dss_replay(core_points, adjacency: Adjacency) -> tuple:
+    """`dss_state` of the core rebuilt from scratch: a fresh recognizer is
+    reset to the first core point and extended at its front by each
+    following point in turn."""
+    pts = list(core_points)
+    rec = DssRecognizer(DigitalPath(tuple(pts), closed=False, adjacency=adjacency))
+    rec.reset(0)
+    for q in pts[1:]:
+        if not rec._core_extend(q, front=True):
+            raise AssertionError("core replay failed; recognizer state corrupt")
+    chars, lean, _ = dss_state(rec)
+    steps = Counter((q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, pts[1:]))
+    return chars, lean, dict(steps)
 
 
 def dss_feasible_all_intervals(path: DigitalPath) -> dict[tuple[int, int], bool]:

@@ -154,6 +154,11 @@ def test_cover_bad_predicate_exits_2(tmp_path, capsys):
         ["cover", str(src), "--predicate", "contains_start"],
         ["graph", str(src), "--predicate", "contains_start"],
         ["probe", "--predicate", "contains_start", "--sizes", "10"],
+        ["cover", str(src), "--predicate", "max_len", "--param", "k=2", "--param", "k=5"],
+        ["graph", str(src), "--predicate", "bbox", "--param", "w=2", "--param", "h=2",
+         "--param", "w=3"],
+        ["probe", "--predicate", "max_len", "--param", "k=2", "--param", " k=2",
+         "--sizes", "10"],
     ]
     for argv in refused:
         assert main(argv) == 2, argv
@@ -218,10 +223,13 @@ def test_probe_table(tmp_path, capsys):
     out = tmp_path / "probe.json"
     assert main(["probe", "--predicate", "dss", "--sizes", "200,400",
                  "--shape", "circle", "-o", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "calls/n" in text
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split() == ["n", "calls", "calls/n", "seconds", "us/n"]
     rows = json.loads(out.read_text())
     assert len(rows) == 2 and rows[0]["n"] > 0
+    assert all(set(row) == {"n", "calls", "ratio", "seconds"} and row["seconds"] > 0
+               for row in rows)
+    assert [int(line.split()[0]) for line in lines] == [row["n"] for row in rows]
 
 
 def test_list_predicates(capsys):

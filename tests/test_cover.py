@@ -16,6 +16,7 @@ from satcover.cover import (
 )
 from satcover.paths import Adjacency, DigitalPath, middle_index
 from satcover.predicates import (
+    DssRecognizer,
     PredicateInfo,
     PredicateSpec,
     Recognizer,
@@ -104,6 +105,57 @@ def test_forward_on_digitized_circle_first_segment_handling():
     # every reported segment really is saturated
     for seg in fwd.segments:
         assert segment_is_saturated(path, spec, seg)
+
+
+def test_dss_cover_extends_the_core_at_most_3_times_per_point(monkeypatch):
+    """A timing-free linearity guard: a removal that replays the core makes
+    21, 44 and 64 extensions per point on these circles."""
+    extend = DssRecognizer._core_extend
+    calls = 0
+
+    def counted(self, p, front):
+        nonlocal calls
+        calls += 1
+        return extend(self, p, front)
+
+    monkeypatch.setattr(DssRecognizer, "_core_extend", counted)
+    for size in (1_000, 10_000, 30_000):
+        path = synth.circle_path_of_size(size)
+        calls = 0
+        saturated_cover(path, PredicateSpec("dss"))
+        assert calls <= 3 * path.n_points, (path.n_points, calls)
+
+
+@pytest.mark.parametrize("path", [
+    synth.circle_path_of_size(20_000),
+    synth.random_walk_path(20_000, Adjacency.EIGHT, seed=41),
+    synth.random_closed_path(40_000, Adjacency.FOUR, seed=42),  # 20,166 points
+], ids=["circle", "open-8-walk", "closed-4-walk"])
+def test_dss_sweep_equals_forward_at_scale(path):
+    spec = PredicateSpec("dss")
+    assert segs(saturated_cover(path, spec)) == segs(forward_cover(path, spec))
+
+
+def test_dss_cover_rotates_with_a_closed_path():
+    path = synth.circle_path_of_size(20_000)
+    n1 = path.n_points
+    spec = PredicateSpec("dss")
+    base = segs(saturated_cover(path, spec))
+    for k in (1, 4_999, n1 // 2 + 3):
+        turned = DigitalPath(path.points[k:] + path.points[:k], closed=True,
+                             adjacency=path.adjacency)
+        assert segs(saturated_cover(turned, spec)) == sorted(
+            ((start - k) % n1, length) for start, length in base), k
+
+
+@pytest.mark.parametrize("path", [
+    synth.circle_path_of_size(2_000),
+    synth.random_walk_path(2_000, Adjacency.EIGHT, seed=43),
+], ids=["circle", "open-8-walk"])
+def test_dss_sweep_equals_brute_force_at_2k(path):
+    spec = PredicateSpec("dss")
+    assert segs(saturated_cover(path, spec)) == segs(
+        brute_force_cover(path, spec, max_points=2_500))
 
 
 def test_corpus_equality_and_invariants():

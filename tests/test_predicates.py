@@ -1,8 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
-from oracles import dss_feasible, dss_feasible_all_intervals
+from oracles import dss_feasible, dss_feasible_all_intervals, dss_replay, dss_state
 from satcover import synth
 from satcover.paths import Adjacency, DigitalPath, IndexInterval
 from satcover.predicates import (
@@ -109,6 +110,58 @@ def test_dss_accepts_revisits_within_a_band():
     # but leaving the band is caught even after revisits
     bent = DigitalPath(((0, 0), (1, 0), (0, 0), (0, 1)))
     assert not DssRecognizer(bent).holds(IndexInterval(0, 4))
+
+
+def wandering_line_path(rng, n, adjacency):
+    """A walk back and forth along a digitized line of random slope and
+    octant, forward more often than back, so that long segment cores lose
+    points at both ends."""
+    a = rng.randint(0, 7)
+    b = rng.randint(max(a, 1), 8)
+    line = synth.digitized_line_path(n, a, b, adjacency).points
+    sx, sy, swap = rng.choice((1, -1)), rng.choice((1, -1)), rng.random() < 0.5
+    line = [(sx * y, sy * x) if swap else (sx * x, sy * y) for x, y in line]
+    i = 0
+    pts = [line[0]]
+    while len(pts) < n:
+        i = min(max(i + (1 if rng.random() < 0.7 else -1), 0), n - 1)
+        if line[i] != pts[-1]:
+            pts.append(line[i])
+    return DigitalPath(tuple(pts), adjacency=adjacency)
+
+
+def test_dss_retraction_matches_replay():
+    """After every removal, whichever core end it takes, and after every
+    extension, the recognizer's state equals the replay of its core."""
+    rng = random.Random(2026)
+    seen = Counter()
+    for _ in range(2000):
+        adjacency = rng.choice((Adjacency.FOUR, Adjacency.EIGHT))
+        n = rng.randint(2, 60)
+        kind = rng.randrange(4)
+        if kind == 0:
+            path = synth.random_walk_path(n, adjacency, rng=rng)
+        elif kind == 1:
+            path = synth.random_closed_path(max(n, 4), adjacency, rng=rng)
+        elif kind == 2:
+            path = wandering_line_path(rng, n, adjacency)
+        else:
+            path = synth.digitized_circle_path(rng.randint(1, 10))
+        rec = DssRecognizer(path)
+        rec.reset(rng.randrange(path.n_points))
+        for _ in range(3 * path.n_points):
+            r = rng.random()
+            if r < 0.3 and rec.length >= 2:
+                first, size, chars = rec._core[0], len(rec._core), rec.characteristics()
+                rec.remove_negative_end()
+                if len(rec._core) < size:
+                    seen["back" if rec._core[0] != first else "front"] += 1
+                    seen["new line"] += rec.characteristics() not in (chars, None)
+            elif not (rec.try_extend_positive() if r < 0.75 else rec.try_extend_negative()):
+                continue
+            assert dss_state(rec) == dss_replay(rec._core, path.adjacency), \
+                (path.points, rec.interval)
+    assert min(seen.values()) > 1000, seen
 
 
 # ---------------------------------------------------------------------------
