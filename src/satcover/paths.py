@@ -89,11 +89,13 @@ class DigitalPath:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of validate_path; `index` is the first offending pair (i, i+1)."""
+    """Outcome of validate_path; `index` is the first offending pair (i, i+1),
+    or (i, 0) when `closing` marks the wrap join of a closed path."""
 
     ok: bool
     index: Optional[int] = None
     kind: Optional[str] = None  # "empty" | "repetition" | "not_adjacent" | "bad_closure"
+    closing: bool = False
 
     @property
     def message(self) -> str:
@@ -101,9 +103,11 @@ class ValidationReport:
             return "ok"
         if self.kind == "empty":
             return "path has no points"
-        what = "repeated point" if self.kind == "repetition" else "non-adjacent pair"
         if self.kind == "bad_closure":
             return f"closing pair (index {self.index}, index 0) is not adjacent"
+        what = "repeated point" if self.kind == "repetition" else "non-adjacent pair"
+        if self.closing:
+            return f"{what} at closing pair (index {self.index}, index 0)"
         return f"{what} at consecutive indices ({self.index}, {self.index + 1})"
 
 
@@ -120,9 +124,9 @@ def validate_path(path: DigitalPath) -> ValidationReport:
             return ValidationReport(False, index=i, kind="not_adjacent")
     if path.closed:
         if pts[-1] == pts[0]:
-            return ValidationReport(False, index=n1 - 1, kind="repetition")
+            return ValidationReport(False, index=n1 - 1, kind="repetition", closing=True)
         if not is_adjacent(pts[-1], pts[0], path.adjacency):
-            return ValidationReport(False, index=n1 - 1, kind="bad_closure")
+            return ValidationReport(False, index=n1 - 1, kind="bad_closure", closing=True)
     return ValidationReport(True)
 
 

@@ -101,34 +101,26 @@ class Recognizer:
         return ok
 
     def try_extend_positive(self) -> bool:
+        return self._extend(self._start + self._length, positive=True)
+
+    def try_extend_negative(self) -> bool:
+        return self._extend(self._start - 1, positive=False)
+
+    def _extend(self, nxt: int, positive: bool) -> bool:
+        """Add the point at unwrapped index `nxt`, just past the positive
+        (negative) end."""
         self.calls += 1
         if self._length == 0:
             return False
-        nxt = self._start + self._length
-        if not self.path.closed and nxt >= self.n_points:
+        if not self.path.closed and not 0 <= nxt < self.n_points:
             return False
         if self._length >= self.n_points:
             return False  # never wrap past one full turn
         idx = nxt % self.n_points
         closing = self.path.closed and self._length + 1 == self.n_points
-        if self._try_add(idx, self.path.points[idx], positive=True, closing=closing):
-            self._length += 1
-            return True
-        return False
-
-    def try_extend_negative(self) -> bool:
-        self.calls += 1
-        if self._length == 0:
-            return False
-        nxt = self._start - 1
-        if not self.path.closed and nxt < 0:
-            return False
-        if self._length >= self.n_points:
-            return False
-        idx = nxt % self.n_points
-        closing = self.path.closed and self._length + 1 == self.n_points
-        if self._try_add(idx, self.path.points[idx], positive=False, closing=closing):
-            self._start = nxt
+        if self._try_add(idx, self.path.points[idx], positive, closing):
+            if not positive:
+                self._start = nxt
             self._length += 1
             return True
         return False
@@ -175,23 +167,6 @@ class Recognizer:
 # "core": the distinct points as a deque in geometric order, carrying
 # arithmetic characteristics (a, b, mu) and the four leaning points.
 
-_DIAG_TURNS = {
-    (1, 0): ((1, 1), (1, -1)),
-    (1, 1): ((1, 0), (0, 1)),
-    (0, 1): ((1, 1), (-1, 1)),
-    (-1, 1): ((0, 1), (-1, 0)),
-    (-1, 0): ((-1, 1), (-1, -1)),
-    (-1, -1): ((-1, 0), (0, -1)),
-    (0, -1): ((-1, -1), (1, -1)),
-    (1, -1): ((0, -1), (1, 0)),
-}
-_PERP_TURNS = {
-    (1, 0): ((0, 1), (0, -1)),
-    (-1, 0): ((0, 1), (0, -1)),
-    (0, 1): ((1, 0), (-1, 0)),
-    (0, -1): ((1, 0), (-1, 0)),
-}
-
 
 class DssRecognizer(Recognizer):
     """Arithmetic DSS recognition with O(1) extension and removal at both
@@ -205,6 +180,13 @@ class DssRecognizer(Recognizer):
     digital contours*, IVC 2007): the characteristics change only when the
     removed extremity was one of exactly two leaning points of its kind
     and the other kind has one.
+
+    Both ends of the core are the same operation seen from opposite sides,
+    so each is written once and indexed by the end: 0 for the first core
+    point, 1 for the last.  Steps are read in core order, first to last.
+    A core with two step directions accepts only those two; a core with one
+    direction d accepts a step s iff s.d > 0 on 8-paths (d or an eighth
+    turn) and s.d >= 0 on 4-paths (d or a quarter turn).
     """
 
     def __init__(self, path: DigitalPath):
@@ -212,11 +194,12 @@ class DssRecognizer(Recognizer):
             raise PredicateError("dss requires grid adjacency (4 or 8), not index-only")
         super().__init__(path)
         self._naive = path.adjacency is Adjacency.EIGHT
-        self._turns = _DIAG_TURNS if self._naive else _PERP_TURNS
         self._counts: Counter = Counter()
         self._core: deque = deque()
         self._chars = None  # (a, b, mu) or None while the core is a singleton
-        self._lean = None  # (Uf, Ul, Lf, Ll) in core order
+        # [Uf, Ul, Lf, Ll]: the upper leaning point at end e is _lean[e],
+        # the lower one _lean[2 + e]
+        self._lean = None
         self._steps: dict = {}  # step vector -> occurrences in the core
 
     # -- characteristics ----------------------------------------------------
@@ -275,19 +258,20 @@ class DssRecognizer(Recognizer):
         core = self._core
         if core[0] == p:
             core.popleft()
-            self._retract(p, core[0], back=True)
+            self._retract(p, core[0], 0, 1)
         elif core[-1] == p:
             core.pop()
-            self._retract(p, core[-1], back=False)
+            self._retract(p, core[-1], 1, -1)
         else:
             raise AssertionError(f"removed point {p} is interior to the segment core")
 
     # -- core maintenance -----------------------------------------------------
 
-    def _retract(self, p: Point, anchor: Point, back: bool) -> None:
+    def _retract(self, p: Point, anchor: Point, end: int, sign: int) -> None:
         """Update the state after extremity p, whose neighbour in the core is
-        `anchor`, left the back (first) or the front (last) of the core."""
-        step = (anchor[0] - p[0], anchor[1] - p[1]) if back else (p[0] - anchor[0], p[1] - anchor[1])
+        `anchor`, left core end `end`.  `sign` * (b, a) is the period pointing
+        inward from that end: +1 at the first end, -1 at the last."""
+        step = (sign * (anchor[0] - p[0]), sign * (anchor[1] - p[1]))
         steps = self._steps
         if steps[step] == 1:
             del steps[step]
@@ -298,27 +282,23 @@ class DssRecognizer(Recognizer):
             self._lean = None
             return
         a, b, _ = self._chars
-        uf, ul, lf, ll = self._lean
+        lean = self._lean
         # leaning points of one kind are one period (b, a) apart; `u`, `l`
         # are those at p's end of the core, `u_far`, `l_far` at the other
-        if back:
-            u, u_far, l, l_far = uf, ul, lf, ll
-            inward = (p[0] + b, p[1] + a)
-        else:
-            u, u_far, l, l_far = ul, uf, ll, lf
-            inward = (p[0] - b, p[1] - a)
+        far = 1 - end
+        u, u_far, l, l_far = lean[end], lean[far], lean[2 + end], lean[2 + far]
+        inward = (p[0] + sign * b, p[1] + sign * a)
         if p == u and u_far == inward and l == l_far:
-            self._turn(u_far, l, 1 if back else -1)
+            self._turn(u_far, l, sign)
             return
         if p == l and l_far == inward and u == u_far:
-            self._turn(u, l_far, -1 if back else 1)
+            self._turn(u, l_far, -sign)
             return
         # still two leaning points of one kind: the line stays pinned
         if p == u:
-            u = inward
+            lean[end] = inward
         if p == l:
-            l = inward
-        self._lean = (u, u_far, l, l_far) if back else (u_far, u, l_far, l)
+            lean[2 + end] = inward
 
     def _turn(self, up: Point, low: Point, sigma: int) -> None:
         """New characteristics (a', b', mu') once the core has one upper
@@ -358,79 +338,61 @@ class DssRecognizer(Recognizer):
         def along(q: Point, k: int) -> Point:
             return (q[0] + k * nb, q[1] + k * na)
 
-        self._lean = (along(up, -periods(first, up)), along(up, periods(up, last)),
-                      along(low, -periods(first, low)), along(low, periods(low, last)))
+        self._lean = [along(up, -periods(first, up)), along(up, periods(up, last)),
+                      along(low, -periods(first, low)), along(low, periods(low, last))]
 
     def _allowed(self, step: Point) -> bool:
-        if len(self._steps) == 2:
-            return step in self._steps
-        (d,) = self._steps
-        return step == d or step in self._turns.get(d, ())
+        steps = self._steps
+        if len(steps) == 2:
+            return step in steps
+        (d,) = steps
+        dot = step[0] * d[0] + step[1] * d[1]
+        return dot > 0 or (dot == 0 and not self._naive)
 
     def _core_extend(self, p: Point, front: bool) -> bool:
-        """Add p, adjacent to the core's front (back) end, if the core stays
-        a DSS."""
+        """Add p, adjacent to the core's last (front) or first (back) point,
+        if the core stays a DSS."""
         core = self._core
+        anchor = core[-1] if front else core[0]
+        step = (p[0] - anchor[0], p[1] - anchor[1]) if front else (anchor[0] - p[0], anchor[1] - p[1])
         if len(core) == 1:
-            g = core[0]
-            d = (p[0] - g[0], p[1] - g[1]) if front else (g[0] - p[0], g[1] - p[1])
-            a, b = d[1], d[0]
-            mu = a * g[0] - b * g[1]
-            back, frontp = (g, p) if front else (p, g)
-            self._chars = (a, b, mu)
-            self._lean = (back, frontp, back, frontp)
-            self._steps = {d: 1}
+            a, b = step[1], step[0]
+            first, last = (anchor, p) if front else (p, anchor)
+            self._chars = (a, b, a * anchor[0] - b * anchor[1])
+            self._lean = [first, last, first, last]
+            self._steps = {step: 1}
             core.append(p) if front else core.appendleft(p)
             return True
 
-        anchor = core[-1] if front else core[0]
-        step = (p[0] - anchor[0], p[1] - anchor[1]) if front else (anchor[0] - p[0], anchor[1] - p[1])
         if not self._allowed(step):
             return False
 
         a, b, mu = self._chars
         om = self._omega(a, b)
         r = a * p[0] - b * p[1]
-        uf, ul, lf, ll = self._lean
+        lean = self._lean
+        end = 1 if front else 0
 
         if mu <= r <= mu + om - 1:
-            if front:
-                if r == mu:
-                    ul = p
-                if r == mu + om - 1:
-                    ll = p
-            else:
-                if r == mu:
-                    uf = p
-                if r == mu + om - 1:
-                    lf = p
-        elif r == mu - 1:
-            # p lies just above the band: the slope steepens through the
-            # far upper leaning point; the old last lower leaning point is
-            # the only lower leaning point that survives.
-            pivot = uf if front else ul
-            witness = ll if front else lf
-            new = self._slope_through(p, pivot, witness, upper=True)
+            if r == mu:
+                lean[end] = p
+            if r == mu + om - 1:
+                lean[2 + end] = p
+        elif r == mu - 1 or r == mu + om:
+            # p lies just above (below) the band: the line turns about the
+            # upper (lower) leaning point at the far end, and the lower
+            # (upper) leaning point at p's end is the only one of its kind
+            # that survives, so it becomes the one at both ends.
+            upper = r < mu
+            same = 0 if upper else 2
+            other = 2 - same
+            witness = lean[other + end]
+            new = self._slope_through(p, lean[same + 1 - end], witness, upper)
             if new is None:
                 return False
-            a, b, mu = new
-            if front:
-                ul, lf, ll = p, ll, ll
-            else:
-                uf, lf, ll = p, lf, lf
-            self._chars = (a, b, mu)
-        elif r == mu + om:
-            pivot = lf if front else ll
-            witness = ul if front else uf
-            new = self._slope_through(p, pivot, witness, upper=False)
-            if new is None:
-                return False
-            a, b, mu = new
-            if front:
-                ll, uf, ul = p, ul, ul
-            else:
-                lf, uf, ul = p, uf, uf
-            self._chars = (a, b, mu)
+            self._chars = new
+            lean[same + end] = p
+            lean[other + 1 - end] = witness
         else:
             return False
 
@@ -438,7 +400,6 @@ class DssRecognizer(Recognizer):
         steps[step] = steps.get(step, 0) + 1
         if len(steps) > 2:
             raise AssertionError("segment core acquired a third step direction")
-        self._lean = (uf, ul, lf, ll)
         core.append(p) if front else core.appendleft(p)
         return True
 
@@ -453,15 +414,11 @@ class DssRecognizer(Recognizer):
         dy //= g
         for sign in (1, -1):
             a, b = sign * dy, sign * dx
-            om = self._omega(a, b)
-            if upper:
-                mu = a * p[0] - b * p[1]
-                if a * witness[0] - b * witness[1] == mu + om - 1:
-                    return (a, b, mu)
-            else:
-                mu = a * p[0] - b * p[1] - om + 1
-                if a * witness[0] - b * witness[1] == mu:
-                    return (a, b, mu)
+            rp = a * p[0] - b * p[1]
+            rw = a * witness[0] - b * witness[1]
+            # the band runs from the upper leaning point to the lower one
+            if (rw - rp if upper else rp - rw) == self._omega(a, b) - 1:
+                return (a, b, min(rp, rw))
         return None
 
 

@@ -16,8 +16,9 @@ orders each chain from its own neighbour dict; the neighbour-table builder
 must return the same graph or raise the same exception type.
 
 `dss_replay` re-derives a DSS recognizer's state from its core points
-alone, by extending a fresh core one point at a time; the O(1) retraction
-must leave the same state as this replay.
+alone, by extending a fresh core one point at a time at either end; the
+O(1) retraction must leave the same state as this replay, and the replays
+at the two ends must agree.
 
 `arc_graph_reference` is the arc-graph builder that tests every pair of
 arcs; the sorted-start builder must return the same nodes, edges and
@@ -158,27 +159,29 @@ def dss_feasible(path: DigitalPath, iv: IndexInterval) -> bool:
 def dss_state(rec: DssRecognizer) -> tuple:
     """(characteristics, leaning points, step counts) of a DSS recognizer's
     core.  The characteristics are sign-normalized like `characteristics()`;
-    a sign flip swaps the upper leaning points (Uf, Ul) with the lower ones
-    (Lf, Ll).  Step counts map each step vector between consecutive core
-    points to its number of occurrences."""
+    the leaning points are the tuple (Uf, Ul, Lf, Ll), and a sign flip swaps
+    the upper ones (Uf, Ul) with the lower ones (Lf, Ll).  Step counts map
+    each step vector between consecutive core points to its number of
+    occurrences."""
     lean = rec._lean
     if lean is not None:
         a, b, _ = rec._chars
         if a < 0 or (a == 0 and b < 0):
-            uf, ul, lf, ll = lean
-            lean = (lf, ll, uf, ul)
+            lean = lean[2:] + lean[:2]
+        lean = tuple(lean)
     return rec.characteristics(), lean, dict(rec._steps)
 
 
-def dss_replay(core_points, adjacency: Adjacency) -> tuple:
+def dss_replay(core_points, adjacency: Adjacency, front: bool = True) -> tuple:
     """`dss_state` of the core rebuilt from scratch: a fresh recognizer is
     reset to the first core point and extended at its front by each
-    following point in turn."""
+    following point in turn.  With `front=False` it is reset to the last
+    core point and extended at its back by each earlier point in turn."""
     pts = list(core_points)
     rec = DssRecognizer(DigitalPath(tuple(pts), closed=False, adjacency=adjacency))
-    rec.reset(0)
-    for q in pts[1:]:
-        if not rec._core_extend(q, front=True):
+    rec.reset(0 if front else len(pts) - 1)
+    for q in (pts[1:] if front else pts[-2::-1]):
+        if not rec._core_extend(q, front):
             raise AssertionError("core replay failed; recognizer state corrupt")
     chars, lean, _ = dss_state(rec)
     steps = Counter((q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, pts[1:]))

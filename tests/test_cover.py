@@ -170,6 +170,31 @@ def test_corpus_equality_and_invariants():
     assert not failures, failures[:3]
 
 
+def test_covers_mirror_under_reversal_and_keep_under_translation():
+    """Reversing a path mirrors its cover: every extension and removal
+    moves to the opposite end of the interval.  Translating it changes
+    neither the segments nor the predicate calls."""
+    specs = GRID_PREDICATES + (PredicateSpec("y_monotone"), PredicateSpec("bbox", {"w": 5, "h": 2}))
+    covers = 0
+    for path in iter_corpus(seed=14, count=400, max_points=80, with_index=True):
+        n1 = path.n_points
+        reversed_path = DigitalPath(path.points[::-1], closed=path.closed,
+                                    adjacency=path.adjacency)
+        moved = DigitalPath(tuple((x + 13, y - 7) for x, y in path.points),
+                            closed=path.closed, adjacency=path.adjacency)
+        for spec in specs:
+            if not applicable(spec, path):
+                continue
+            cov = saturated_cover(path, spec)
+            mirrored = sorted(((n1 - start - length) % n1, length) for start, length in segs(cov))
+            assert segs(saturated_cover(reversed_path, spec)) == mirrored, (spec, path.points)
+            shifted = saturated_cover(moved, spec)
+            assert segs(shifted) == segs(cov), (spec, path.points)
+            assert shifted.predicate_calls == cov.predicate_calls, (spec, path.points)
+            covers += 1
+    assert covers > 3000, covers
+
+
 def test_literal_brute_force_agrees_on_small_paths():
     for path in iter_corpus(seed=12, count=60, max_points=22, with_index=True):
         for spec in GRID_PREDICATES:

@@ -43,6 +43,12 @@ def test_validate_reports():
     bad_close = validate_path(DigitalPath(((0, 0), (1, 0), (2, 0)), closed=True,
                                           adjacency=Adjacency.FOUR))
     assert not bad_close.ok and bad_close.kind == "bad_closure"
+    assert bad_close.message == "closing pair (index 2, index 0) is not adjacent"
+
+    rep_close = validate_path(DigitalPath(((0, 0), (1, 0), (0, 0)), closed=True,
+                                          adjacency=Adjacency.FOUR))
+    assert not rep_close.ok and rep_close.index == 2 and rep_close.kind == "repetition"
+    assert rep_close.message == "repeated point at closing pair (index 2, index 0)"
 
     good_close = validate_path(DigitalPath(((0, 0), (1, 0), (1, 1), (0, 1)), closed=True,
                                            adjacency=Adjacency.FOUR))

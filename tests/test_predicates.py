@@ -112,15 +112,21 @@ def test_dss_accepts_revisits_within_a_band():
     assert not DssRecognizer(bent).holds(IndexInterval(0, 4))
 
 
-def wandering_line_path(rng, n, adjacency):
-    """A walk back and forth along a digitized line of random slope and
-    octant, forward more often than back, so that long segment cores lose
-    points at both ends."""
+def octant_line(rng, n, adjacency):
+    """The points of a digitized line of random slope, moved by a random
+    symmetry of the grid into any of the eight octants."""
     a = rng.randint(0, 7)
     b = rng.randint(max(a, 1), 8)
     line = synth.digitized_line_path(n, a, b, adjacency).points
     sx, sy, swap = rng.choice((1, -1)), rng.choice((1, -1)), rng.random() < 0.5
-    line = [(sx * y, sy * x) if swap else (sx * x, sy * y) for x, y in line]
+    return [(sx * y, sy * x) if swap else (sx * x, sy * y) for x, y in line]
+
+
+def wandering_line_path(rng, n, adjacency):
+    """A walk back and forth along a digitized line of random slope and
+    octant, forward more often than back, so that long segment cores lose
+    points at both ends."""
+    line = octant_line(rng, n, adjacency)
     i = 0
     pts = [line[0]]
     while len(pts) < n:
@@ -162,6 +168,20 @@ def test_dss_retraction_matches_replay():
             assert dss_state(rec) == dss_replay(rec._core, path.adjacency), \
                 (path.points, rec.interval)
     assert min(seen.values()) > 1000, seen
+
+
+def test_dss_replays_at_either_end_agree():
+    """A core built by extensions at its back alone, last point first, has
+    the same characteristics, leaning points and steps as one built at its
+    front alone."""
+    rng = random.Random(2027)
+    for _ in range(10_000):
+        adjacency = rng.choice((Adjacency.FOUR, Adjacency.EIGHT))
+        line = octant_line(rng, 40, adjacency)
+        i = rng.randrange(len(line))
+        piece = line[i:rng.randint(i + 1, len(line))]
+        assert dss_replay(piece, adjacency) == dss_replay(piece, adjacency, front=False), \
+            (piece, adjacency)
 
 
 # ---------------------------------------------------------------------------
