@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("path", help="path JSON file")
     p_graph.add_argument("--predicate", required=True)
     p_graph.add_argument("--param", action="append", metavar="K=V")
-    p_graph.add_argument("--forward", action="store_true")
+    p_graph.add_argument("--forward", action="store_true", help="use the forward-only sweep")
     p_graph.add_argument("--dot", default=None, help="also write Graphviz DOT here")
     p_graph.add_argument("-o", "--output", default=None)
 
@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated path sizes; each row's n is the point "
                               "count of the path generated for that size")
     p_probe.add_argument("--shape", choices=("circle", "line", "walk"), default="circle")
-    p_probe.add_argument("--adjacency", choices=("4", "8", "index"), default="8")
+    p_probe.add_argument("--adjacency", choices=("4", "8", "index"), default="8",
+                         help="adjacency of lines and walks (circles are 8-connected)")
     p_probe.add_argument("--closed", action="store_true",
                          help="generate closed walks (circles are always closed)")
     p_probe.add_argument("--seed", type=int, default=0)
@@ -170,7 +171,7 @@ def _cmd_trace(args) -> int:
 
 
 def _load_path(file: str):
-    return path_from_json(FsPath(file).read_text())
+    return path_from_json(FsPath(file).read_bytes())
 
 
 def _cmd_cover(args) -> int:

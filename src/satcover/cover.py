@@ -7,10 +7,10 @@ tangential cover; it has at most one segment per path point, and the
 incremental sweep below finds it with a number of predicate evaluations
 linear in the path length.
 
-Three routes are provided: the two-sided alternating sweep
-(:func:`saturated_cover`), a forward-only variant that slides a window
-(:func:`forward_cover`), and a definition-based oracle
-(:func:`brute_force_cover`) for cross-checking at desk scale.
+One sweep serves two routes: :func:`saturated_cover` grows each fresh
+window alternately on both sides, and :func:`forward_cover` runs the same
+sweep with the negative side switched off.  A definition-based oracle,
+:func:`brute_force_cover`, cross-checks both at desk scale.
 """
 
 from __future__ import annotations
@@ -99,12 +99,15 @@ def _restart(rec: Recognizer, probe: Recognizer, q: int, limit: int) -> Optional
     return q, q
 
 
-def saturated_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
-    """Two-sided sweep: grow alternately around a seed (positive side first
-    on odd length), then repeatedly extend past the positive end and shrink
-    from the negative side until the predicate holds again.
+def _sweep(path: DigitalPath, spec: PredicateSpec, two_sided: bool) -> SaturatedCover:
+    """The incremental sweep: grow a window until it is saturated, then move
+    on past its positive end and shrink from its negative end.
 
-    Returns exactly the saturated subpaths of a conservative predicate.
+    With `two_sided`, a window grows alternately around each fresh seed
+    (positive side first on odd length); otherwise it grows on its positive
+    side only.  On closed paths the sweep stops at a repeated segment or one
+    wrap past the first one, and drops the first segment if a later one
+    contains it.
     """
     n1 = path.n_points
     rec = make_recognizer(spec, path)
@@ -119,34 +122,25 @@ def saturated_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
     # on closed paths the seed scan may wrap this far
     limit = t + n1 if closed else n1
     i = j = t
-    pos_ok = neg_ok = True
-    guard = t + 3 * n1 + 3
+    pos_ok, neg_ok = True, two_sided
 
     while True:
-        # Increase / Check / Maximality: alternate sides, positive first,
-        # continuing one-sided once the other side has failed or hit an end.
-        while True:
-            length = j - i + 1
-            if length == n1:
-                break
-            pos_avail = pos_ok and (closed or j < n1 - 1)
-            neg_avail = neg_ok and (closed or i > 0)
-            if not pos_avail and not neg_avail:
-                break
-            if length % 2 == 1:
-                side_pos = pos_avail
-            else:
-                side_pos = not neg_avail
-            if side_pos:
+        # Increase / Check / Maximality: alternate sides while both can grow,
+        # then finish on whichever side still can.
+        while pos_ok and neg_ok and j - i + 1 < n1 and (closed or (0 < i and j < n1 - 1)):
+            if (j - i) % 2 == 0:
                 if rec.try_extend_positive():
                     j += 1
                 else:
                     pos_ok = False
+            elif rec.try_extend_negative():
+                i -= 1
             else:
-                if rec.try_extend_negative():
-                    i -= 1
-                else:
-                    neg_ok = False
+                neg_ok = False
+        while pos_ok and j - i + 1 < n1 and (closed or j < n1 - 1) and rec.try_extend_positive():
+            j += 1
+        while neg_ok and j - i + 1 < n1 and (closed or i > 0) and rec.try_extend_negative():
+            i -= 1
 
         length = j - i + 1
         if closed and length == n1:
@@ -154,75 +148,44 @@ def saturated_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
             return _finish(path, spec, {(0, n1): None}, rec, probe)
         key = (i % n1, length)
         if key in keys:
-            return _finish(path, spec, keys, rec, probe)  # wrapped around: sweep done
+            break  # wrapped around onto a known segment
+        if not keys:
+            # j only grows: stop one wrap past the first segment, or at the path's end
+            last_q = j + n1 if closed else n1 - 1
         keys[key] = None
 
         q = j + 1
-        if not closed and q >= n1:
-            return _finish(path, spec, keys, rec, probe)
-        if q > guard:
-            raise AssertionError("cover sweep failed to terminate")
+        if q > last_q:
+            break
         window = _restart(rec, probe, q, limit)
         if window is None:
-            return _finish(path, spec, keys, rec, probe)
+            break
         i, j = window
         # a fresh seed past q may grow both ways; after a shrink, the
         # shrink's last failure rules the negative side out for good
-        pos_ok, neg_ok = True, i > q
+        pos_ok, neg_ok = True, two_sided and i > q
+
+    if closed:
+        # a forward-grown first segment may not be saturated on its negative side
+        first_key = next(iter(keys))
+        first = IndexInterval(*first_key)
+        if any(k != first_key and interval_contains(n1, True, IndexInterval(*k), first) for k in keys):
+            del keys[first_key]
+    return _finish(path, spec, keys, rec, probe)
+
+
+def saturated_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
+    """Two-sided sweep: returns exactly the saturated subpaths of a
+    conservative predicate."""
+    return _sweep(path, spec, two_sided=True)
 
 
 def forward_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
-    """Forward-only variant: positive extension plus negative-end removal.
-
-    Produces the same cover as :func:`saturated_cover`.  On closed paths
-    the sweep runs until it revisits a segment (one wrap past the first
-    recognized one), and the first segment is discarded if some later
-    segment contains it.
-    """
-    n1 = path.n_points
-    rec = make_recognizer(spec, path)
-    probe = make_recognizer(spec, path)
-    keys: dict[tuple[int, int], None] = {}
-    closed = path.closed
-    first_key: Optional[tuple[int, int]] = None
-
-    t = _seed(rec, 0, n1)
-    if t == n1:
-        return _finish(path, spec, keys, rec, probe)
-
-    limit = t + n1 if closed else n1
-    s = j = t
-    first_end: Optional[int] = None
-
-    while True:
-        while rec.length < n1 and (closed or j < n1 - 1) and rec.try_extend_positive():
-            j += 1
-        if closed and rec.length == n1:
-            return _finish(path, spec, {(0, n1): None}, rec, probe)
-        key = (s % n1, j - s + 1)
-        if key in keys:
-            break
-        keys[key] = None
-        if first_key is None:
-            first_key, first_end = key, j
-
-        q = j + 1
-        if not closed and q >= n1:
-            break
-        if closed and q > first_end + n1:
-            break  # one full wrap past the first recognized segment
-        window = _restart(rec, probe, q, limit)
-        if window is None:
-            break
-        s, j = window
-
-    if closed and first_key is not None and len(keys) > 1:
-        first_iv = IndexInterval(*first_key)
-        for other in keys:
-            if other != first_key and interval_contains(n1, True, IndexInterval(*other), first_iv):
-                del keys[first_key]
-                break
-    return _finish(path, spec, keys, rec, probe)
+    """The same sweep with the negative side switched off: each window grows
+    on its positive side only.  Produces the same cover as
+    :func:`saturated_cover`; on closed paths its first segment may be
+    unsaturated, and the end rule then drops it."""
+    return _sweep(path, spec, two_sided=False)
 
 
 def brute_force_cover(

@@ -181,9 +181,12 @@ def path_to_json(path: DigitalPath) -> str:
 
 
 def path_from_json(text: str | bytes) -> DigitalPath:
+    """Parse a path document given as text or as UTF-8 bytes."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an integer past int's digit limit, or nesting
+        # deeper than the decoder's recursion limit
         raise PathFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise PathFormatError("path document must be a JSON object")

@@ -158,6 +158,8 @@ def shape_factory(shape: str, adjacency: Adjacency = Adjacency.EIGHT, seed: int 
                   closed: bool = False):
     """Factory by name, for the complexity probe: size -> path."""
     if shape == "circle":
+        if adjacency is not Adjacency.EIGHT:
+            raise ValueError("circle paths are 8-connected")
         return circle_path_of_size
     if shape == "line":
         if closed or adjacency is Adjacency.INDEX:

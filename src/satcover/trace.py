@@ -98,20 +98,21 @@ def _neighbour_table(pixels, adjacency: Adjacency) -> dict[Point, list[Point]]:
     return table
 
 
-def _table_sets(table: dict[Point, list[Point]], pixels) -> list[frozenset[Point]]:
-    """Subsets of `pixels` connected through `table`, sorted by their
-    smallest pixel.  `components` keeps the table-free `_connected_sets`:
-    building a whole image's table first doubles the cost of its search."""
+def _table_sets(table: dict, nodes) -> list[frozenset]:
+    """Subsets of `nodes` connected through `table` (each node to its
+    neighbours), sorted by their smallest node.  `components` keeps the
+    table-free `_connected_sets`: building a whole image's table first
+    doubles the cost of its search."""
     out = []
-    seen: set[Point] = set()
-    for seed in sorted(pixels):
+    seen = set()
+    for seed in sorted(nodes):
         if seed in seen:
             continue
         comp = {seed}
         stack = [seed]
         while stack:
             for q in table[stack.pop()]:
-                if q in pixels and q not in comp:
+                if q in nodes and q not in comp:
                     comp.add(q)
                     stack.append(q)
         seen |= comp
@@ -178,19 +179,11 @@ class CurveGraph:
         n = len(self.vertices)
         if n <= 1:
             return True
-        adj = [[] for _ in range(n)]
+        table: dict[int, list[int]] = {v: [] for v in range(n)}
         for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == n
+            table[e.u].append(e.v)
+            table[e.v].append(e.u)
+        return len(_table_sets(table, table)) == 1
 
     def to_json_dict(self) -> dict:
         return {

@@ -159,6 +159,9 @@ def test_cover_bad_predicate_exits_2(tmp_path, capsys):
          "--param", "w=3"],
         ["probe", "--predicate", "max_len", "--param", "k=2", "--param", " k=2",
          "--sizes", "10"],
+        ["probe", "--predicate", "dss", "--shape", "circle", "--adjacency", "4", "--sizes", "100"],
+        ["probe", "--predicate", "dss", "--shape", "circle", "--adjacency", "index",
+         "--sizes", "100"],
     ]
     for argv in refused:
         assert main(argv) == 2, argv
@@ -168,9 +171,18 @@ def test_cover_bad_predicate_exits_2(tmp_path, capsys):
 
 def test_cover_rejects_invalid_path_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"closed": false, "adjacency": "4", "points": [[0,0],[5,5]]}')
-    assert main(["cover", str(bad), "--predicate", "dss"]) == 2
-    assert "non-adjacent" in capsys.readouterr().err
+    for data, message in [
+        (b'{"closed": false, "adjacency": "4", "points": [[0,0],[5,5]]}', "non-adjacent"),
+        (b"\xff\xfe", "invalid JSON"),  # not UTF-8
+        (b"[" * 100_000, "invalid JSON"),  # nested past the decoder's recursion limit
+        (b'{"closed":false,"adjacency":"8","points":[[' + b"7" * 5_000 + b",0]]}",
+         "invalid JSON"),  # past int's digit limit
+    ]:
+        bad.write_bytes(data)
+        for command in ("cover", "graph"):
+            assert main([command, str(bad), "--predicate", "dss"]) == 2, (command, data[:20])
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and message in err, (command, err)
 
 
 def test_probe_bad_sizes_exits_2(capsys):

@@ -36,6 +36,26 @@ register_predicate(PredicateInfo(
 ))
 
 
+class _GapsRecognizer(Recognizer):
+    """At most 5 points, none at an index that is 3 mod 7: some singletons
+    are false, so the sweeps seed afresh past them."""
+
+    def _on_reset(self, index, p):
+        return index % 7 != 3
+
+    def _try_add(self, index, p, positive, closing):
+        return index % 7 != 3 and self._length < 5
+
+    def _on_remove(self, index, p, opening):
+        pass
+
+
+register_predicate(PredicateInfo(
+    "gaps", (), True, "at most 5 points, none at an index 3 mod 7 (tests)",
+    lambda spec, path: _GapsRecognizer(path),
+))
+
+
 def segs(cover):
     return [(s.start, s.length) for s in cover.segments]
 
@@ -134,6 +154,48 @@ def test_dss_cover_extends_the_core_at_most_3_times_per_point(monkeypatch):
 def test_dss_sweep_equals_forward_at_scale(path):
     spec = PredicateSpec("dss")
     assert segs(saturated_cover(path, spec)) == segs(forward_cover(path, spec))
+
+
+_ROUTE_WALKS = [
+    synth.random_walk_path(4_000, Adjacency.FOUR, seed=51),
+    synth.random_walk_path(4_000, Adjacency.EIGHT, seed=52),
+    synth.random_index_path(4_000, seed=53),
+    synth.random_closed_path(8_000, Adjacency.FOUR, seed=54),
+    synth.random_closed_path(8_000, Adjacency.EIGHT, seed=55),
+]
+
+
+@pytest.mark.parametrize("path", _ROUTE_WALKS,
+                         ids=["open-4-walk", "open-8-walk", "open-index-walk",
+                              "closed-4-walk", "closed-8-walk"])
+def test_routes_agree_on_every_predicate_at_scale(path):
+    """The forward route grows its first window on the positive side only,
+    so on a closed path that segment may be unsaturated and the end rule
+    must drop it.  Rotations move the sweep's first segment."""
+    assert 3_000 <= path.n_points <= 5_000, path.n_points
+    n1 = path.n_points
+    turns = (0, n1 // 3, n1 - 7) if path.closed else (0,)
+    for k in turns:
+        turned = DigitalPath(path.points[k:] + path.points[:k], closed=path.closed,
+                             adjacency=path.adjacency)
+        for spec in GRID_PREDICATES + (PredicateSpec("y_monotone"),):
+            if applicable(spec, turned):
+                assert segs(forward_cover(turned, spec)) == segs(saturated_cover(turned, spec)), (k, spec)
+
+
+def test_forward_route_never_grows_on_its_negative_side(monkeypatch):
+    walks = [synth.random_walk_path(300, Adjacency.FOUR, seed=56),
+             synth.random_closed_path(600, Adjacency.EIGHT, seed=57),
+             synth.circle_path_of_size(300)]
+    specs = GRID_PREDICATES + (PredicateSpec("y_monotone"), PredicateSpec("gaps"))
+    expected = [(path, spec, segs(brute_force_cover(path, spec))) for path in walks for spec in specs]
+
+    def refuse(self):
+        raise AssertionError("the forward route tried a negative extension")
+
+    monkeypatch.setattr(Recognizer, "try_extend_negative", refuse)
+    for path, spec, cover in expected:
+        assert segs(forward_cover(path, spec)) == cover, (path.closed, spec)
 
 
 def test_dss_cover_rotates_with_a_closed_path():
