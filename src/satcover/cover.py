@@ -89,8 +89,8 @@ def _restart(rec: Recognizer, probe: Recognizer, q: int, limit: int) -> Optional
     if not probe.reset(q % rec.n_points):
         t = _seed(rec, q + 1, limit)
         return None if t >= limit else (t, t)
-    i = q - rec.length
-    while rec.length > 1:
+    i = q - rec.length  # the window is i .. q - 1
+    while i < q - 1:
         rec.remove_negative_end()
         i += 1
         if rec.try_extend_positive():

@@ -56,6 +56,11 @@ _NEIGHBOUR_OFFSETS = {
     Adjacency.EIGHT: ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)),
 }
 
+# The steps q - p between adjacent grid points: p and q are adjacent iff
+# their difference is one of these.  Per-point code tests adjacency with
+# this one set lookup instead of calling `is_adjacent`.
+UNIT_STEPS = {adj: frozenset(offsets) for adj, offsets in _NEIGHBOUR_OFFSETS.items()}
+
 
 def neighbours(p: Point, adjacency: Adjacency) -> tuple[Point, ...]:
     """The neighbourhood of p, in deterministic scan order."""
@@ -80,7 +85,7 @@ class DigitalPath:
     adjacency: Adjacency = Adjacency.EIGHT
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
 
     @property
     def n_points(self) -> int:
@@ -117,16 +122,15 @@ def validate_path(path: DigitalPath) -> ValidationReport:
     n1 = len(pts)
     if n1 == 0:
         return ValidationReport(False, kind="empty")
-    for i in range(n1 - 1):
-        if pts[i] == pts[i + 1]:
-            return ValidationReport(False, index=i, kind="repetition")
-        if not is_adjacent(pts[i], pts[i + 1], path.adjacency):
-            return ValidationReport(False, index=i, kind="not_adjacent")
-    if path.closed:
-        if pts[-1] == pts[0]:
-            return ValidationReport(False, index=n1 - 1, kind="repetition", closing=True)
-        if not is_adjacent(pts[-1], pts[0], path.adjacency):
-            return ValidationReport(False, index=n1 - 1, kind="bad_closure", closing=True)
+    units = UNIT_STEPS.get(path.adjacency)  # None for INDEX
+    # each point with its successor, the wrap pair (n1 - 1, 0) last when closed
+    succ = pts[1:] + pts[:1] if path.closed else pts[1:]
+    for i, (p, q) in enumerate(zip(pts, succ)):
+        adjacent = p != q if units is None else (q[0] - p[0], q[1] - p[1]) in units
+        if not adjacent:
+            closing = i == n1 - 1
+            kind = "repetition" if p == q else "bad_closure" if closing else "not_adjacent"
+            return ValidationReport(False, index=i, kind=kind, closing=closing)
     return ValidationReport(True)
 
 
@@ -202,16 +206,12 @@ def path_from_json(text: str | bytes) -> DigitalPath:
     raw = doc["points"]
     if not isinstance(raw, list):
         raise PathFormatError("'points' must be an array")
-    points = []
     for i, entry in enumerate(raw):
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in entry)
-        ):
+        # JSON decodes to exact types: an integer is an int and never a bool
+        if (type(entry) is not list or len(entry) != 2
+                or type(entry[0]) is not int or type(entry[1]) is not int):
             raise PathFormatError(f"point {i} must be a pair of integers, got {entry!r}")
-        points.append((entry[0], entry[1]))
-    path = DigitalPath(tuple(points), closed=doc["closed"], adjacency=adjacency)
+    path = DigitalPath(tuple(map(tuple, raw)), closed=doc["closed"], adjacency=adjacency)
     report = validate_path(path)
     if not report.ok:
         raise PathFormatError(f"invalid digital path: {report.message}")

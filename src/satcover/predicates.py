@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .paths import Adjacency, DigitalPath, IndexInterval, Point, is_adjacent
+from .paths import UNIT_STEPS, Adjacency, DigitalPath, IndexInterval, Point
 
 
 class PredicateError(ValueError):
@@ -58,6 +58,8 @@ class Recognizer:
     def __init__(self, path: DigitalPath):
         self.path = path
         self.n_points = path.n_points
+        self._points = path.points
+        self._closed = path.closed
         self.calls = 0
         self._start = 0  # unwrapped; may leave [0, n] on closed paths
         self._length = 0
@@ -95,7 +97,8 @@ class Recognizer:
         self.calls += 1
         self._start = index
         self._length = 0
-        ok = self._on_reset(index % self.n_points, self.path.points[index % self.n_points])
+        idx = index % self.n_points
+        ok = self._on_reset(idx, self._points[idx])
         if ok:
             self._length = 1
         return ok
@@ -110,15 +113,13 @@ class Recognizer:
         """Add the point at unwrapped index `nxt`, just past the positive
         (negative) end."""
         self.calls += 1
-        if self._length == 0:
+        n1 = self.n_points
+        length = self._length
+        # empty, a full turn already (never wrap past it), or past an open end
+        if not 0 < length < n1 or not (self._closed or 0 <= nxt < n1):
             return False
-        if not self.path.closed and not 0 <= nxt < self.n_points:
-            return False
-        if self._length >= self.n_points:
-            return False  # never wrap past one full turn
-        idx = nxt % self.n_points
-        closing = self.path.closed and self._length + 1 == self.n_points
-        if self._try_add(idx, self.path.points[idx], positive, closing):
+        idx = nxt % n1
+        if self._try_add(idx, self._points[idx], positive, self._closed and length + 1 == n1):
             if not positive:
                 self._start = nxt
             self._length += 1
@@ -129,8 +130,7 @@ class Recognizer:
         if self._length < 2:
             raise ValueError("cannot remove from an interval of fewer than 2 points")
         idx = self._start % self.n_points
-        opening = self.path.closed and self._length == self.n_points
-        self._on_remove(idx, self.path.points[idx], opening)
+        self._on_remove(idx, self._points[idx], self._closed and self._length == self.n_points)
         self._start += 1
         self._length -= 1
 
@@ -165,7 +165,8 @@ class Recognizer:
 # segment in geometric order; the path may wander back and forth along it.
 # The recognizer therefore keeps a multiplicity count per point plus a
 # "core": the distinct points as a deque in geometric order, carrying
-# arithmetic characteristics (a, b, mu) and the four leaning points.
+# arithmetic characteristics (a, b, mu) and the four leaning points.  A
+# revisit only bumps its point's count; a new point must extend the core.
 
 
 class DssRecognizer(Recognizer):
@@ -194,7 +195,11 @@ class DssRecognizer(Recognizer):
             raise PredicateError("dss requires grid adjacency (4 or 8), not index-only")
         super().__init__(path)
         self._naive = path.adjacency is Adjacency.EIGHT
-        self._counts: Counter = Counter()
+        self._units = UNIT_STEPS[path.adjacency]
+        # occurrences in the interval of each of its distinct points, never
+        # 0; a plain dict because every new point is a miss, and a Counter
+        # miss runs its Python-level __missing__
+        self._counts: dict = {}
         self._core: deque = deque()
         self._chars = None  # (a, b, mu) or None while the core is a singleton
         # [Uf, Ul, Lf, Ll]: the upper leaning point at end e is _lean[e],
@@ -223,7 +228,7 @@ class DssRecognizer(Recognizer):
     # -- hooks ---------------------------------------------------------------
 
     def _on_reset(self, index: int, p: Point) -> bool:
-        self._counts = Counter({p: 1})
+        self._counts = {p: 1}
         self._core = deque([p])
         self._chars = None
         self._lean = None
@@ -233,25 +238,32 @@ class DssRecognizer(Recognizer):
     def _try_add(self, index: int, p: Point, positive: bool, closing: bool) -> bool:
         # band membership is a property of the point multiset, so the
         # wrap join needs no extra handling here
-        if self._counts[p]:
-            self._counts[p] += 1
+        counts = self._counts
+        count = counts.get(p)
+        if count:
+            counts[p] = count + 1
             return True
+        # a new point must be adjacent to a core end, which it then extends
         core = self._core
-        adjacency = self.path.adjacency
-        if is_adjacent(p, core[-1], adjacency) and self._core_extend(p, front=True):
-            self._counts[p] = 1
+        units = self._units
+        last = core[-1]
+        if (p[0] - last[0], p[1] - last[1]) in units and self._core_extend(p, True):
+            counts[p] = 1
             return True
-        if (len(core) > 1 and is_adjacent(p, core[0], adjacency)
-                and self._core_extend(p, front=False)):
-            self._counts[p] = 1
+        first = core[0]
+        if (len(core) > 1 and (first[0] - p[0], first[1] - p[1]) in units
+                and self._core_extend(p, False)):
+            counts[p] = 1
             return True
         return False
 
     def _on_remove(self, index: int, p: Point, opening: bool) -> None:
-        self._counts[p] -= 1
-        if self._counts[p]:
+        counts = self._counts
+        count = counts[p] - 1
+        if count:
+            counts[p] = count
             return
-        del self._counts[p]
+        del counts[p]
         # A point whose last occurrence leaves the interval is always a
         # geometric extremity: interior columns/rows stay visited as long
         # as the interval spans both sides of them.
@@ -329,25 +341,16 @@ class DssRecognizer(Recognizer):
         om = sx * nb + sy * na
         self._chars = (na, nb, na * up[0] - nb * up[1])
         first, last = self._core[0], self._core[-1]
-
-        def periods(p: Point, q: Point) -> int:
-            # whole periods from p forward to q; a point's position along
-            # the core is its width-weighted offset from the first point
-            return (sx * (q[0] - p[0]) + sy * (q[1] - p[1])) // om
-
-        def along(q: Point, k: int) -> Point:
-            return (q[0] + k * nb, q[1] + k * na)
-
-        self._lean = [along(up, -periods(first, up)), along(up, periods(up, last)),
-                      along(low, -periods(first, low)), along(low, periods(low, last))]
-
-    def _allowed(self, step: Point) -> bool:
-        steps = self._steps
-        if len(steps) == 2:
-            return step in steps
-        (d,) = steps
-        dot = step[0] * d[0] + step[1] * d[1]
-        return dot > 0 or (dot == 0 and not self._naive)
+        # the leaning points of each kind at the two core ends lie whole
+        # periods (nb, na) back and ahead of the survivor q of that kind; a
+        # point's position along the core is its width-weighted offset, and
+        # one period spans om of it
+        lean = []
+        for q in (up, low):
+            back = (sx * (q[0] - first[0]) + sy * (q[1] - first[1])) // om
+            ahead = (sx * (last[0] - q[0]) + sy * (last[1] - q[1])) // om
+            lean += [(q[0] - back * nb, q[1] - back * na), (q[0] + ahead * nb, q[1] + ahead * na)]
+        self._lean = lean
 
     def _core_extend(self, p: Point, front: bool) -> bool:
         """Add p, adjacent to the core's last (front) or first (back) point,
@@ -364,8 +367,17 @@ class DssRecognizer(Recognizer):
             core.append(p) if front else core.appendleft(p)
             return True
 
-        if not self._allowed(step):
-            return False
+        # the step must be one of the core's two directions, or next to its
+        # only one (see the class docstring)
+        steps = self._steps
+        if len(steps) == 2:
+            if step not in steps:
+                return False
+        else:
+            (d,) = steps
+            dot = step[0] * d[0] + step[1] * d[1]
+            if dot < 0 or (dot == 0 and self._naive):
+                return False
 
         a, b, mu = self._chars
         om = self._omega(a, b)
@@ -396,7 +408,6 @@ class DssRecognizer(Recognizer):
         else:
             return False
 
-        steps = self._steps
         steps[step] = steps.get(step, 0) + 1
         if len(steps) > 2:
             raise AssertionError("segment core acquired a third step direction")
@@ -467,7 +478,7 @@ class MonotoneRecognizer(Recognizer):
         return True
 
     def _coord(self, index: int) -> int:
-        return self.path.points[index % self.n_points][self.axis]
+        return self._points[index % self.n_points][self.axis]
 
     def _try_add(self, index, p, positive, closing):
         if closing:
@@ -510,8 +521,9 @@ class MonotoneRecognizer(Recognizer):
 class BboxRecognizer(Recognizer):
     """Bounding box of the interval fits in w x h grid cells.
 
-    Removal recomputes a lost extreme by scanning the coordinate counter,
-    so it is O(distinct coordinates) rather than O(1).
+    Removal recomputes a lost extreme by scanning the coordinate counts,
+    so it is O(distinct coordinates) rather than O(1).  The counts are plain
+    dicts, never holding 0, for the same reason as the DSS multiplicities.
     """
 
     def __init__(self, path: DigitalPath, w: int, h: int):
@@ -520,13 +532,13 @@ class BboxRecognizer(Recognizer):
         super().__init__(path)
         self.w = w
         self.h = h
-        self._xs: Counter = Counter()
-        self._ys: Counter = Counter()
+        self._xs: dict = {}  # occurrences of each x in the interval
+        self._ys: dict = {}
         self._xmin = self._xmax = self._ymin = self._ymax = 0
 
     def _on_reset(self, index, p):
-        self._xs = Counter({p[0]: 1})
-        self._ys = Counter({p[1]: 1})
+        self._xs = {p[0]: 1}
+        self._ys = {p[1]: 1}
         self._xmin = self._xmax = p[0]
         self._ymin = self._ymax = p[1]
         return True
@@ -538,8 +550,9 @@ class BboxRecognizer(Recognizer):
         ymax = max(self._ymax, p[1])
         if xmax - xmin + 1 > self.w or ymax - ymin + 1 > self.h:
             return False
-        self._xs[p[0]] += 1
-        self._ys[p[1]] += 1
+        xs, ys = self._xs, self._ys
+        xs[p[0]] = xs.get(p[0], 0) + 1
+        ys[p[1]] = ys.get(p[1], 0) + 1
         self._xmin, self._xmax, self._ymin, self._ymax = xmin, xmax, ymin, ymax
         return True
 

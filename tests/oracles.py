@@ -20,6 +20,10 @@ alone, by extending a fresh core one point at a time at either end; the
 O(1) retraction must leave the same state as this replay, and the replays
 at the two ends must agree.
 
+`validate_path_reference` is the path validator that tests every
+consecutive pair with `is_adjacent`; the unit-step validator must return
+the same report.
+
 `arc_graph_reference` is the arc-graph builder that tests every pair of
 arcs; the sorted-start builder must return the same nodes, edges and
 `proper` flag.  `literal_cover` is the saturated cover by its definition
@@ -41,7 +45,9 @@ from satcover.paths import (
     DigitalPath,
     IndexInterval,
     Point,
+    ValidationReport,
     interval_contains,
+    is_adjacent,
     neighbours,
 )
 from satcover.pbm import BinaryImage, PbmError
@@ -59,6 +65,27 @@ from satcover.trace import (
 
 def interval_points(path: DigitalPath, iv: IndexInterval) -> list[Point]:
     return [path.points[i] for i in iv.indices(path.n_points)]
+
+
+def validate_path_reference(path: DigitalPath) -> ValidationReport:
+    """The pairwise validator that `satcover.paths.validate_path` replaced:
+    each consecutive pair, then the closing pair, is tested for repetition
+    before adjacency."""
+    pts = path.points
+    n1 = len(pts)
+    if n1 == 0:
+        return ValidationReport(False, kind="empty")
+    for i in range(n1 - 1):
+        if pts[i] == pts[i + 1]:
+            return ValidationReport(False, index=i, kind="repetition")
+        if not is_adjacent(pts[i], pts[i + 1], path.adjacency):
+            return ValidationReport(False, index=i, kind="not_adjacent")
+    if path.closed:
+        if pts[-1] == pts[0]:
+            return ValidationReport(False, index=n1 - 1, kind="repetition", closing=True)
+        if not is_adjacent(pts[-1], pts[0], path.adjacency):
+            return ValidationReport(False, index=n1 - 1, kind="bad_closure", closing=True)
+    return ValidationReport(True)
 
 
 def intervals_intersect(n_points: int, closed: bool, a: IndexInterval, b: IndexInterval) -> bool:
@@ -157,23 +184,25 @@ def dss_feasible(path: DigitalPath, iv: IndexInterval) -> bool:
 
 
 def dss_state(rec: DssRecognizer) -> tuple:
-    """(characteristics, leaning points, step counts) of a DSS recognizer's
-    core.  The characteristics are sign-normalized like `characteristics()`;
-    the leaning points are the tuple (Uf, Ul, Lf, Ll), and a sign flip swaps
-    the upper ones (Uf, Ul) with the lower ones (Lf, Ll).  Step counts map
-    each step vector between consecutive core points to its number of
-    occurrences."""
+    """(characteristics, leaning points, step counts, multiplicities) of a
+    DSS recognizer.  The first three describe its core: the characteristics
+    are sign-normalized like `characteristics()`; the leaning points are the
+    tuple (Uf, Ul, Lf, Ll), and a sign flip swaps the upper ones (Uf, Ul)
+    with the lower ones (Lf, Ll); step counts map each step vector between
+    consecutive core points to its number of occurrences.  Multiplicities
+    map each distinct point of the interval to its number of occurrences."""
     lean = rec._lean
     if lean is not None:
         a, b, _ = rec._chars
         if a < 0 or (a == 0 and b < 0):
             lean = lean[2:] + lean[:2]
         lean = tuple(lean)
-    return rec.characteristics(), lean, dict(rec._steps)
+    return rec.characteristics(), lean, dict(rec._steps), dict(rec._counts)
 
 
 def dss_replay(core_points, adjacency: Adjacency, front: bool = True) -> tuple:
-    """`dss_state` of the core rebuilt from scratch: a fresh recognizer is
+    """The core part of `dss_state` (characteristics, leaning points, step
+    counts), rebuilt from scratch: a fresh recognizer is
     reset to the first core point and extended at its front by each
     following point in turn.  With `front=False` it is reset to the last
     core point and extended at its back by each earlier point in turn."""
@@ -183,7 +212,7 @@ def dss_replay(core_points, adjacency: Adjacency, front: bool = True) -> tuple:
     for q in (pts[1:] if front else pts[-2::-1]):
         if not rec._core_extend(q, front):
             raise AssertionError("core replay failed; recognizer state corrupt")
-    chars, lean, _ = dss_state(rec)
+    chars, lean, _, _ = dss_state(rec)
     steps = Counter((q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, pts[1:]))
     return chars, lean, dict(steps)
 

@@ -8,7 +8,7 @@ import pytest
 
 from fixtures import ALL_FIXTURES
 from satcover.cli import main
-from satcover.paths import Adjacency, path_from_json, path_to_json
+from satcover.paths import Adjacency, PathFormatError, path_from_json, path_to_json
 from satcover.pbm import BinaryImage, dump_p1, dump_p4, image_from_ascii
 from satcover.svg import render_trace_svg
 from satcover.trace import find_junctions, trace_image
@@ -183,6 +183,33 @@ def test_cover_rejects_invalid_path_json(tmp_path, capsys):
             assert main([command, str(bad), "--predicate", "dss"]) == 2, (command, data[:20])
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and message in err, (command, err)
+
+
+@pytest.mark.parametrize("entry, shown", [
+    ("true", "True"),
+    ("1.5", "1.5"),
+    ('"7"', "'7'"),
+    ("[0]", "[0]"),
+    ("[0, 1, 2]", "[0, 1, 2]"),
+    ("[[0, 1], 2]", "[[0, 1], 2]"),
+    ("[0, [1]]", "[0, [1]]"),
+    ("[false, 1]", "[False, 1]"),
+    ("[0, 1.0]", "[0, 1.0]"),
+    ("[0, null]", "[0, None]"),
+], ids=["bool", "float", "string", "one", "three", "nested-first", "nested-second",
+        "bool-coordinate", "float-coordinate", "null-coordinate"])
+def test_bad_point_entry_message_and_exit_code(tmp_path, capsys, entry, shown):
+    text = '{"closed": false, "adjacency": "8", "points": [[0, 0], %s]}' % entry
+    message = f"point 1 must be a pair of integers, got {shown}"
+    with pytest.raises(PathFormatError) as info:
+        path_from_json(text)
+    assert str(info.value) == message
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for command in ("cover", "graph"):
+        assert main([command, str(bad), "--predicate", "dss"]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n", (command, err)
 
 
 def test_probe_bad_sizes_exits_2(capsys):

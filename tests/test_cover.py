@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from satcover.cover import (
     saturated_cover,
     segment_is_saturated,
 )
-from satcover.paths import Adjacency, DigitalPath, middle_index
+from satcover.paths import Adjacency, DigitalPath, middle_index, path_from_json, path_to_json
 from satcover.predicates import (
     DssRecognizer,
     PredicateInfo,
@@ -58,6 +59,10 @@ register_predicate(PredicateInfo(
 
 def segs(cover):
     return [(s.start, s.length) for s in cover.segments]
+
+
+# every grid predicate, and a non-square box
+_GRID_SPECS = GRID_PREDICATES + (PredicateSpec("y_monotone"), PredicateSpec("bbox", {"w": 5, "h": 2}))
 
 
 def test_max_len_windows_on_open_run():
@@ -146,6 +151,43 @@ def test_dss_cover_extends_the_core_at_most_3_times_per_point(monkeypatch):
         assert calls <= 3 * path.n_points, (path.n_points, calls)
 
 
+def python_calls(fn, *args) -> int:
+    """The number of Python-level function calls, generator resumptions
+    included, made while `fn(*args)` runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("size, work, bound", [
+    (1_000, "dss cover", 20),
+    (10_000, "dss cover", 20),
+    (10_000, "path reader", 2),
+])
+def test_python_calls_per_point_on_the_hot_paths(size, work, bound):
+    """A timing-free guard on the per-point constant: a DSS extension or
+    removal costs a handful of frames, and reading a path costs none per
+    point.  Counter misses, a helper call per adjacency test and a
+    generator per point entry made 28.7 and 24.7 calls per point for the
+    cover and 5.0 for the reader."""
+    path = synth.circle_path_of_size(size)
+    if work == "dss cover":
+        calls = python_calls(saturated_cover, path, PredicateSpec("dss"))
+    else:
+        calls = python_calls(path_from_json, path_to_json(path))
+    assert calls <= bound * path.n_points, (work, path.n_points, calls / path.n_points)
+
+
 @pytest.mark.parametrize("path", [
     synth.circle_path_of_size(20_000),
     synth.random_walk_path(20_000, Adjacency.EIGHT, seed=41),
@@ -220,6 +262,39 @@ def test_dss_sweep_equals_brute_force_at_2k(path):
         brute_force_cover(path, spec, max_points=2_500))
 
 
+@pytest.mark.parametrize("path", [
+    synth.random_walk_path(2_000, Adjacency.FOUR, seed=64),
+    synth.random_walk_path(2_000, Adjacency.EIGHT, seed=65),
+    synth.random_index_path(2_000, seed=66),
+    synth.random_closed_path(4_000, Adjacency.FOUR, seed=67),
+    synth.random_closed_path(4_000, Adjacency.EIGHT, seed=68),
+], ids=["open-4-walk", "open-8-walk", "open-index-walk", "closed-4-walk", "closed-8-walk"])
+def test_sweep_equals_brute_force_at_2k_for_every_other_predicate(path):
+    assert 2_000 <= path.n_points <= 2_500, path.n_points
+    for spec in _GRID_SPECS:
+        if spec.name != "dss" and applicable(spec, path):
+            assert segs(saturated_cover(path, spec)) == segs(
+                brute_force_cover(path, spec, max_points=2_500)), spec
+
+
+@pytest.mark.parametrize("path", [
+    synth.random_closed_path(5_000, Adjacency.FOUR, seed=61),
+    synth.random_closed_path(5_000, Adjacency.EIGHT, seed=62),
+], ids=["closed-4-walk", "closed-8-walk"])
+def test_every_cover_rotates_with_a_closed_walk(path):
+    n1 = path.n_points
+    assert 2_000 <= n1 <= 3_000, n1
+    rng = random.Random(n1)
+    turns = [1, n1 - 1] + rng.sample(range(2, n1 - 1), 8)
+    for spec in _GRID_SPECS:
+        base = segs(saturated_cover(path, spec))
+        for k in turns:
+            turned = DigitalPath(path.points[k:] + path.points[:k], closed=True,
+                                 adjacency=path.adjacency)
+            assert segs(saturated_cover(turned, spec)) == sorted(
+                ((start - k) % n1, length) for start, length in base), (spec, k)
+
+
 def test_corpus_equality_and_invariants():
     failures = []
     for path in iter_corpus(seed=11, count=120, max_points=80, with_index=True):
@@ -236,7 +311,6 @@ def test_covers_mirror_under_reversal_and_keep_under_translation():
     """Reversing a path mirrors its cover: every extension and removal
     moves to the opposite end of the interval.  Translating it changes
     neither the segments nor the predicate calls."""
-    specs = GRID_PREDICATES + (PredicateSpec("y_monotone"), PredicateSpec("bbox", {"w": 5, "h": 2}))
     covers = 0
     for path in iter_corpus(seed=14, count=400, max_points=80, with_index=True):
         n1 = path.n_points
@@ -244,7 +318,7 @@ def test_covers_mirror_under_reversal_and_keep_under_translation():
                                     adjacency=path.adjacency)
         moved = DigitalPath(tuple((x + 13, y - 7) for x, y in path.points),
                             closed=path.closed, adjacency=path.adjacency)
-        for spec in specs:
+        for spec in _GRID_SPECS:
             if not applicable(spec, path):
                 continue
             cov = saturated_cover(path, spec)

@@ -1,8 +1,10 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
-from oracles import enumerate_subpaths, intervals_intersect
+from oracles import enumerate_subpaths, intervals_intersect, validate_path_reference
 from satcover.paths import (
     Adjacency,
     DigitalPath,
@@ -53,6 +55,56 @@ def test_validate_reports():
     good_close = validate_path(DigitalPath(((0, 0), (1, 0), (1, 1), (0, 1)), closed=True,
                                            adjacency=Adjacency.FOUR))
     assert good_close.ok
+
+
+def mutated_paths(rng, count):
+    """Seeded 4-, 8- and index paths, open and closed, of up to 12 points,
+    each hit by up to two mutations: a repeated point, a jump, a bad
+    closure (a last point two or three cells from the first) and a
+    repeated first point (appended as the last)."""
+    for _ in range(count):
+        adjacency = rng.choice(list(Adjacency))
+        closed = rng.random() < 0.5
+        n = rng.randint(1, 12)
+        if adjacency is Adjacency.INDEX:
+            pts = list(synth.random_index_path(n, span=2, rng=rng).points)
+        elif closed and n >= 4:
+            pts = list(synth.random_closed_path(n, adjacency, rng=rng).points)
+        else:
+            pts = list(synth.random_walk_path(n, adjacency, rng=rng).points)
+        for _ in range(rng.randint(0, 2)):
+            kind = rng.randrange(4)
+            i = rng.randrange(len(pts))
+            if kind == 0:
+                pts.insert(i, pts[i])
+            elif kind == 1:
+                pts[i] = (pts[i][0] + rng.choice((-2, 2)), pts[i][1] + rng.randint(-2, 2))
+            elif kind == 2:
+                pts.append((pts[0][0] + rng.choice((-3, -2, 2, 3)), pts[0][1] + rng.randint(-1, 1)))
+            else:
+                pts.append(pts[0])
+        yield DigitalPath(tuple(pts), closed=closed, adjacency=adjacency)
+
+
+def test_validate_matches_pairwise_reference():
+    """The unit-step validator reports the same first offending pair, kind
+    and closing flag as the pairwise `is_adjacent` loop."""
+    edge_cases = [DigitalPath((), closed=closed, adjacency=adjacency)
+                  for closed in (False, True) for adjacency in Adjacency]
+    edge_cases += [DigitalPath(((3, -1),), closed=closed, adjacency=adjacency)
+                   for closed in (False, True) for adjacency in Adjacency]
+    seen = Counter()
+    for path in edge_cases + list(mutated_paths(random.Random(2031), 4_000)):
+        report = validate_path(path)
+        assert report == validate_path_reference(path), (path.points, path.closed, path.adjacency)
+        seen[report.kind, report.closing, path.adjacency] += 1
+    # every report each adjacency can give was given, at least ten times
+    for adjacency in Adjacency:
+        kinds = [(None, False), ("repetition", False), ("repetition", True)]
+        if adjacency is not Adjacency.INDEX:
+            kinds += [("not_adjacent", False), ("bad_closure", True)]
+        for kind, closing in kinds:
+            assert seen[kind, closing, adjacency] >= 10, (seen, adjacency)
 
 
 def test_middle_index_examples():

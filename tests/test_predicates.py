@@ -3,7 +3,13 @@ from collections import Counter
 
 import pytest
 
-from oracles import dss_feasible, dss_feasible_all_intervals, dss_replay, dss_state
+from oracles import (
+    dss_feasible,
+    dss_feasible_all_intervals,
+    dss_replay,
+    dss_state,
+    interval_points,
+)
 from satcover import synth
 from satcover.paths import Adjacency, DigitalPath, IndexInterval
 from satcover.predicates import (
@@ -138,7 +144,9 @@ def wandering_line_path(rng, n, adjacency):
 
 def test_dss_retraction_matches_replay():
     """After every removal, whichever core end it takes, and after every
-    extension, the recognizer's state equals the replay of its core."""
+    extension, the recognizer's state equals the replay of its core, and
+    its multiplicities count the interval's points, whose distinct points
+    are the core's."""
     rng = random.Random(2026)
     seen = Counter()
     for _ in range(2000):
@@ -165,8 +173,12 @@ def test_dss_retraction_matches_replay():
                     seen["new line"] += rec.characteristics() not in (chars, None)
             elif not (rec.try_extend_positive() if r < 0.75 else rec.try_extend_negative()):
                 continue
-            assert dss_state(rec) == dss_replay(rec._core, path.adjacency), \
+            *core_state, counts = dss_state(rec)
+            assert tuple(core_state) == dss_replay(rec._core, path.adjacency), \
                 (path.points, rec.interval)
+            assert counts == Counter(interval_points(path, rec.interval)), \
+                (path.points, rec.interval)
+            assert sorted(counts) == sorted(rec._core), (path.points, rec.interval)
     assert min(seen.values()) > 1000, seen
 
 
