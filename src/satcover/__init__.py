@@ -37,7 +37,6 @@ from .predicates import (
 from .trace import (
     CurveGraph,
     EmitError,
-    Junction,
     OddVerticesError,
     TraceError,
     build_curve_graph,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .paths import Adjacency, DigitalPath, Point, is_adjacent, neighbours
+from .paths import UNIT_STEPS, Adjacency, DigitalPath, Point, neighbours
 from .pbm import BinaryImage
 
 
@@ -40,19 +40,16 @@ _SORTED_OFFSETS = {adj: tuple(sorted(neighbours((0, 0), adj)))
                    for adj in (Adjacency.FOUR, Adjacency.EIGHT)}
 
 
-def _bfs(seed: Point, inside, adjacency: Adjacency,
-         goal: Optional[Point] = None) -> dict[Point, Optional[Point]]:
+def _bfs(seed: Point, inside, adjacency: Adjacency) -> dict[Point, Optional[Point]]:
     """Breadth-first search from seed through the pixels of `inside`, trying
     neighbours in sorted order.  Returns the search-tree parent of every
     reached pixel (None for the seed) in visit order, so each pixel's
-    children appear sorted; stops once `goal` is dequeued."""
+    children appear sorted."""
     offsets = _SORTED_OFFSETS[adjacency]
     parent: dict[Point, Optional[Point]] = {seed: None}
     queue = deque([seed])
     while queue:
         u = queue.popleft()
-        if u == goal:
-            break
         x, y = u
         for dx, dy in offsets:
             q = (x + dx, y + dy)
@@ -79,15 +76,6 @@ def components(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]
     return _connected_sets(img.foreground, adjacency)
 
 
-@dataclass(frozen=True)
-class Junction:
-    """Maximal connected set of branching pixels; `attachments` counts the
-    foreground pixels outside it that are adjacent to it."""
-
-    pixels: frozenset[Point]
-    attachments: int
-
-
 def _neighbour_table(pixels, adjacency: Adjacency) -> dict[Point, list[Point]]:
     """Each pixel's neighbours among `pixels`, in sorted order."""
     offsets = _SORTED_OFFSETS[adjacency]
@@ -98,42 +86,13 @@ def _neighbour_table(pixels, adjacency: Adjacency) -> dict[Point, list[Point]]:
     return table
 
 
-def _table_sets(table: dict, nodes) -> list[frozenset]:
-    """Subsets of `nodes` connected through `table` (each node to its
-    neighbours), sorted by their smallest node.  `components` keeps the
-    table-free `_connected_sets`: building a whole image's table first
-    doubles the cost of its search."""
-    out = []
-    seen = set()
-    for seed in sorted(nodes):
-        if seed in seen:
-            continue
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            for q in table[stack.pop()]:
-                if q in nodes and q not in comp:
-                    comp.add(q)
-                    stack.append(q)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+def _junctions(table: dict[Point, list[Point]], adjacency: Adjacency) -> list[frozenset[Point]]:
+    """Maximal connected sets of branching pixels, sorted by their smallest pixel."""
+    return _connected_sets({p for p, qs in table.items() if len(qs) >= 3}, adjacency)
 
 
-def _junctions(table: dict[Point, list[Point]]) -> list[Junction]:
-    branching = {p for p, qs in table.items() if len(qs) >= 3}
-    out = []
-    for comp in _table_sets(table, branching):
-        # attachment count: adjacent foreground outside the junction (all of
-        # it is end/regular, since adjacent branching pixels would have been
-        # merged into the component)
-        ring = {q for p in comp for q in table[p] if q not in comp}
-        out.append(Junction(comp, len(ring)))
-    return out
-
-
-def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[Junction]:
-    return _junctions(_neighbour_table(img.foreground, adjacency))
+def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
+    return _junctions(_neighbour_table(img.foreground, adjacency), adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +135,7 @@ class CurveGraph:
         return [v for v, d in enumerate(self.degrees()) if d % 2 == 1]
 
     def is_connected(self) -> bool:
-        n = len(self.vertices)
-        if n <= 1:
-            return True
-        table: dict[int, list[int]] = {v: [] for v in range(n)}
-        for e in self.edges:
-            table[e.u].append(e.v)
-            table[e.v].append(e.u)
-        return len(_table_sets(table, table)) == 1
+        return len(self.vertices) <= 1 or None not in _vertex_dijkstra(self, 0)[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -228,22 +180,25 @@ def _chains(table: dict[Point, list[Point]],
     return chains
 
 
+_DISCONNECTED = "expected a single connected component"
+
+
 def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
     """Graph of one connected raster component.
 
     End pixels and junction pixels live on the vertices; edge pixel lists
     hold everything in between, so vertex pixels and edge pixels partition
-    the foreground.
+    the foreground.  Every edge's pixels touch those of both its vertices,
+    so the graph is connected iff the image is: the single-component check
+    reads the graph instead of searching the pixels again.
     """
     table = _neighbour_table(img.foreground, adjacency)
-    if len(_table_sets(table, table)) != 1:
-        raise TraceError("expected a single connected component")
     if len(table) == 1:
         return CurveGraph((Vertex("end", tuple(table)),), (), adjacency)
 
-    junctions = _junctions(table)
-    vertices = [Vertex("junction", tuple(sorted(j.pixels))) for j in junctions]
-    junction_of = {p: jid for jid, j in enumerate(junctions) for p in j.pixels}
+    junctions = _junctions(table, adjacency)
+    vertices = [Vertex("junction", tuple(sorted(j))) for j in junctions]
+    junction_of = {p: jid for jid, j in enumerate(junctions) for p in j}
     chains = _chains(table, junction_of)
 
     # an end pixel (one foreground neighbour) can only be the end of an open chain
@@ -259,15 +214,15 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
         # them, a one-pixel chain runs from the first to the last
         ids = [end_vertex[p]] if p in end_vertex else []
         ids += [junction_of[q] for q in table[p] if q in junction_of]
-        if not ids:
-            raise AssertionError(f"chain end {p} attaches to nothing")
+        if not ids:  # an isolated pixel
+            raise TraceError(_DISCONNECTED)
         return ids
 
     edges: list[Edge] = []
     for chain, cycle in chains:
         if cycle:
             if junctions:
-                raise AssertionError("cycle component in an image with junctions")
+                raise TraceError(_DISCONNECTED)
             vid = len(vertices)
             vertices.append(Vertex("cycle", ()))
             edges.append(Edge(vid, vid, tuple(chain)))
@@ -278,7 +233,10 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
         stop = len(chain) - 1 if last in end_vertex else len(chain)
         edges.append(Edge(attachments(first)[0], attachments(last)[-1], tuple(chain[start:stop])))
 
-    return CurveGraph(tuple(vertices), tuple(edges), adjacency)
+    graph = CurveGraph(tuple(vertices), tuple(edges), adjacency)
+    if not vertices or not graph.is_connected():
+        raise TraceError(_DISCONNECTED)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +457,6 @@ def _junction_tree_walk(pixels: frozenset[Point], entry: Point, exit_: Point,
     return out
 
 
-def _junction_shortest(pixels: frozenset[Point], entry: Point, exit_: Point,
-                       adjacency: Adjacency) -> list[Point]:
-    return _route(_bfs(entry, pixels, adjacency, goal=exit_), entry, exit_)
-
-
 def emit_path(g: CurveGraph, tour: list[Traversal]) -> EmitResult:
     """Concatenate the tour's edge pixels, routing through junction pixels at
     the seams.  The first crossing of each junction covers all its pixels, so
@@ -515,10 +468,13 @@ def emit_path(g: CurveGraph, tour: list[Traversal]) -> EmitResult:
     stream: list[Point] = []
     runs: list[Run] = []
     seen: set[int] = set()
+    steps = UNIT_STEPS[adjacency]
 
     def append(p: Point) -> None:
-        if stream and not is_adjacent(stream[-1], p, adjacency):
-            raise EmitError(f"seam break: {stream[-1]} to {p} not adjacent")
+        if stream:
+            q = stream[-1]
+            if (p[0] - q[0], p[1] - q[1]) not in steps:
+                raise EmitError(f"seam break: {q} to {p} not adjacent")
         stream.append(p)
 
     def oriented(k: int) -> tuple[tuple[Point, ...], bool]:
@@ -560,7 +516,7 @@ def emit_path(g: CurveGraph, tour: list[Traversal]) -> EmitResult:
         else:
             if entry is None or exit_ is None:
                 return
-            route = _junction_shortest(pixels, entry, exit_, adjacency)
+            route = _route(_bfs(entry, pixels, adjacency), entry, exit_)
         for p in route:
             append(p)
 

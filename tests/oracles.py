@@ -12,8 +12,13 @@ and decode exactly like it.
 
 `build_curve_graph_reference` is the curve-graph builder that searches the
 image for components again, computes branching indices pixel by pixel and
-orders each chain from its own neighbour dict; the neighbour-table builder
-must return the same graph or raise the same exception type.
+orders each chain from its own neighbour dict; the neighbour-table builder,
+which reads its single-component check from the graph it built, must
+return the same graph or raise the same exception type.
+`find_junctions_reference` returns the maximal connected sets of branching
+pixels as plain frozensets, found from those per-pixel branching indices;
+the junction vertices of the neighbour-table builder must hold the same
+sets.
 
 `dss_replay` re-derives a DSS recognizer's state from its core points
 alone, by extending a fresh core one point at a time at either end; the
@@ -55,7 +60,6 @@ from satcover.predicates import DssRecognizer, PredicateSpec, make_recognizer
 from satcover.trace import (
     CurveGraph,
     Edge,
-    Junction,
     TraceError,
     Vertex,
     _connected_sets,
@@ -344,20 +348,9 @@ def load_pbm_reference(data: bytes) -> BinaryImage:
     return BinaryImage(width, height, frozenset(fg))
 
 
-def find_junctions_reference(img: BinaryImage, adjacency: Adjacency) -> list[Junction]:
+def find_junctions_reference(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
     branching = {p for p in img.foreground if branching_index(img, p, adjacency) >= 3}
-    out = []
-    for comp in _connected_sets(branching, adjacency):
-        # attachment count: adjacent foreground outside the junction (all of
-        # it is end/regular, since adjacent branching pixels would have been
-        # merged into the component)
-        ring = set()
-        for p in comp:
-            for q in neighbours(p, adjacency):
-                if q in img.foreground and q not in comp:
-                    ring.add(q)
-        out.append(Junction(comp, len(ring)))
-    return out
+    return _connected_sets(branching, adjacency)
 
 
 def _order_chain(comp: frozenset[Point], adjacency: Adjacency) -> tuple[list[Point], bool]:
@@ -411,9 +404,9 @@ def build_curve_graph_reference(img: BinaryImage, adjacency: Adjacency) -> Curve
 
     vertices: list[Vertex] = []
     for j in junctions:
-        vertices.append(Vertex("junction", tuple(sorted(j.pixels))))
+        vertices.append(Vertex("junction", tuple(sorted(j))))
     for jid, j in enumerate(junctions):
-        for p in j.pixels:
+        for p in j:
             junction_of[p] = jid
 
     junction_pixels = set(junction_of)

@@ -67,7 +67,7 @@ def test_trace_svg_marks_every_junction(tmp_path, name, adjacency):
     assert main(["trace", str(src), "--adjacency", adjacency, "--svg", str(svg)]) == 0
     img = image_from_ascii(ALL_FIXTURES[name])
     adj = Adjacency.from_code(adjacency)
-    junction_pixels = set().union(*(j.pixels for j in find_junctions(img, adj)))
+    junction_pixels = set().union(*find_junctions(img, adj))
     paths = [tr.path for tr in trace_image(img, adj)]
     assert svg.read_text() == render_trace_svg(img, junction_pixels, paths)
 

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,7 @@ from satcover.cover import (
     segment_is_saturated,
 )
 from satcover.paths import Adjacency, DigitalPath, middle_index, path_from_json, path_to_json
+from satcover.pbm import BinaryImage
 from satcover.predicates import (
     DssRecognizer,
     PredicateInfo,
@@ -23,6 +25,7 @@ from satcover.predicates import (
     Recognizer,
     register_predicate,
 )
+from satcover.trace import trace_image
 from satcover.verify import GRID_PREDICATES, applicable, check_cover_invariants, iter_corpus
 
 
@@ -151,14 +154,14 @@ def test_dss_cover_extends_the_core_at_most_3_times_per_point(monkeypatch):
         assert calls <= 3 * path.n_points, (path.n_points, calls)
 
 
-def python_calls(fn, *args) -> int:
-    """The number of Python-level function calls, generator resumptions
-    included, made while `fn(*args)` runs."""
-    calls = 0
+def profile_events(fn, *args) -> Counter:
+    """The profile events made while `fn(*args)` runs, by kind: "call"
+    counts Python-level function calls, generator resumptions included, and
+    "c_call" calls of builtins and C methods."""
+    events: Counter = Counter()
 
     def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
+        events[event] += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)
@@ -166,7 +169,7 @@ def python_calls(fn, *args) -> int:
         fn(*args)
     finally:
         sys.setprofile(previous)
-    return calls
+    return events
 
 
 @pytest.mark.parametrize("size, work, bound", [
@@ -182,10 +185,39 @@ def test_python_calls_per_point_on_the_hot_paths(size, work, bound):
     cover and 5.0 for the reader."""
     path = synth.circle_path_of_size(size)
     if work == "dss cover":
-        calls = python_calls(saturated_cover, path, PredicateSpec("dss"))
+        calls = profile_events(saturated_cover, path, PredicateSpec("dss"))["call"]
     else:
-        calls = python_calls(path_from_json, path_to_json(path))
+        calls = profile_events(path_from_json, path_to_json(path))["call"]
     assert calls <= bound * path.n_points, (work, path.n_points, calls / path.n_points)
+
+
+def _ring_image(radius: int, adjacency: Adjacency) -> BinaryImage:
+    """The digitized circle as a raster; a 4-connected ring also gets a
+    corner pixel on every diagonal step."""
+    pts = synth.digitized_circle_path(radius).points
+    fg = set()
+    for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
+        fg.add((radius + px, radius + py))
+        if adjacency is Adjacency.FOUR and px != qx and py != qy:
+            fg.add((radius + qx, radius + py))
+    return BinaryImage(2 * radius + 1, 2 * radius + 1, frozenset(fg))
+
+
+@pytest.mark.parametrize("radius, adjacency", [
+    (300, Adjacency.EIGHT),  # 1,696 pixels
+    (1_000, Adjacency.FOUR),  # 8,000 pixels
+])
+def test_profile_events_per_pixel_of_the_trace(radius, adjacency):
+    """A timing-free guard on the trace's per-pixel constant: one component
+    search and one neighbour table per pixel, and an inline step lookup per
+    emitted point.  A second connected-set search over every pixel in
+    `build_curve_graph` and an `is_adjacent` call per emitted point made 6.0
+    calls and 12.0-13.0 C calls per pixel; this reads 5.0 and 7.0."""
+    img = _ring_image(radius, adjacency)
+    events = profile_events(trace_image, img, adjacency)
+    pixels = len(img.foreground)
+    assert events["call"] <= 5.5 * pixels, events["call"] / pixels
+    assert events["c_call"] <= 9 * pixels, events["c_call"] / pixels
 
 
 @pytest.mark.parametrize("path", [

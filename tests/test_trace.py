@@ -56,15 +56,12 @@ def test_find_junctions():
     assert find_junctions(image_from_ascii("#####"), FOUR) == []
 
     plus = fixture_image("plus")
-    js = find_junctions(plus, FOUR)
-    assert len(js) == 1
-    assert js[0].pixels == frozenset({(1, 1)})
-    assert js[0].attachments == 4
+    assert find_junctions(plus, FOUR) == [frozenset({(1, 1)})]
 
     corridor = fixture_image("two_junction_corridor")
     js = find_junctions(corridor, FOUR)
     assert len(js) == 2
-    assert {min(j.pixels) for j in js} == {(1, 1), (7, 1)}
+    assert [min(j) for j in js] == [(1, 1), (7, 1)]
 
 
 def test_junction_maximality():
@@ -72,10 +69,10 @@ def test_junction_maximality():
     for name in ("plus", "h_shape", "figure_eight", "fat_junction", "theta"):
         img = fixture_image(name)
         js = find_junctions(img, FOUR)
-        all_junction_pixels = set().union(*(j.pixels for j in js)) if js else set()
+        all_junction_pixels = set().union(*js)
         for j in js:
-            for p in j.pixels:
-                for q in [n for n in all_junction_pixels - j.pixels]:
+            for p in j:
+                for q in all_junction_pixels - j:
                     assert not is_adjacent(p, q, FOUR)
 
 
@@ -175,18 +172,29 @@ def _outcome(build, img, adjacency):
 
 @pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
 def test_curve_graph_matches_reference(adjacency):
+    """The neighbour-table builder returns the reference's graph on every
+    component, its junction vertices are the reference junctions, and the
+    single-component check it reads from the graph refuses exactly the
+    images that do not have one component."""
     images = list(_random_images(2000, seed=5)) + [fixture_image(n) for n in sorted(ALL_FIXTURES)]
-    checked = 0
+    checked = rejected = 0
     for img in images:
         assert find_junctions(img, adjacency) == find_junctions_reference(img, adjacency)
-        for comp in components(img, adjacency):
+        comps = components(img, adjacency)
+        refused = _outcome(build_curve_graph, img, adjacency) is TraceError
+        assert refused == (len(comps) != 1)
+        rejected += refused
+        for comp in comps:
             if len(comp) < 2:
                 continue
             sub = BinaryImage(img.width, img.height, comp)
-            assert (_outcome(build_curve_graph, sub, adjacency)
-                    == _outcome(build_curve_graph_reference, sub, adjacency))
+            built = _outcome(build_curve_graph, sub, adjacency)
+            assert built == _outcome(build_curve_graph_reference, sub, adjacency)
+            assert ([v.pixels for v in built.vertices if v.kind == "junction"]
+                    == [tuple(sorted(j)) for j in find_junctions_reference(sub, adjacency)])
             checked += 1
     assert checked > 2000
+    assert rejected > 500
 
 
 def test_graph_json_schema():
