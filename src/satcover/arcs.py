@@ -9,7 +9,6 @@ inclusion-free, which the saturated decomposition guarantees.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -38,9 +37,6 @@ class ArcGraph:
             "proper": self.proper,
             "interval": self.interval,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     def to_dot(self) -> str:
         lines = ["graph cover {"]

@@ -148,36 +148,22 @@ class CurveGraph:
         }
 
 
-def _chains(table: dict[Point, list[Point]],
-            junction_of: dict[Point, int]) -> list[tuple[list[Point], bool]]:
-    """Maximal runs of non-junction pixels as (pixels, is_cycle), sorted by
-    their smallest pixel.  An open chain runs from its smaller end; a cycle
-    starts at its smallest pixel and steps first to that pixel's smaller
-    neighbour."""
-    inner: dict[Point, list[Point]] = {}
-    for p, qs in table.items():
-        if p not in junction_of:
-            inner[p] = [q for q in qs if q not in junction_of]
-            if len(inner[p]) > 2:
-                raise AssertionError(f"simplified image is not thin at {p}")
-    chains = []
-    seen: set[Point] = set()
-    # chain ends come first, so a walk starts at an end whenever its chain has one
-    for start in sorted(inner, key=lambda p: (len(inner[p]) == 2, p)):
-        if start in seen:
-            continue
-        chain = [start]
-        prev = None
-        while True:
-            nxt = [q for q in inner[chain[-1]] if q != prev]
-            if not nxt or nxt[0] == start:
+def _walk(table: dict[Point, list[Point]], start: Point, junction_of: dict[Point, int]) -> list[Point]:
+    """The chain from `start`: step each time to the first neighbour that is
+    neither a junction pixel nor the previous pixel, until there is none or
+    the walk is back at `start`."""
+    chain = [start]
+    prev, cur = None, start
+    while True:
+        nxt = None
+        for q in table[cur]:
+            if q != prev and q not in junction_of:
+                nxt = q
                 break
-            prev = chain[-1]
-            chain.append(nxt[0])
-        seen.update(chain)
-        chains.append((chain, len(inner[start]) == 2))
-    chains.sort(key=lambda item: min(item[0]))
-    return chains
+        if nxt is None or nxt == start:
+            return chain
+        chain.append(nxt)
+        prev, cur = cur, nxt
 
 
 _DISCONNECTED = "expected a single connected component"
@@ -191,42 +177,56 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
     the foreground.  Every edge's pixels touch those of both its vertices,
     so the graph is connected iff the image is: the single-component check
     reads the graph instead of searching the pixels again.
+
+    A non-junction pixel has at most two neighbours, so each end of an open
+    chain is a tip (one neighbour) or a port (a junction pixel's
+    non-junction neighbour), and the chains are walked from those ends.  A
+    chain with neither touches nothing else: with no tip and no junction the
+    component is one cycle, walked from its smallest pixel towards that
+    pixel's smaller neighbour.
     """
     table = _neighbour_table(img.foreground, adjacency)
     if len(table) == 1:
         return CurveGraph((Vertex("end", tuple(table)),), (), adjacency)
 
     junctions = _junctions(table, adjacency)
-    vertices = [Vertex("junction", tuple(sorted(j))) for j in junctions]
     junction_of = {p: jid for jid, j in enumerate(junctions) for p in j}
-    chains = _chains(table, junction_of)
+    tips = sorted([p for p, qs in table.items() if len(qs) == 1])
+    if not tips and not junctions:
+        cycle = _walk(table, min(table), junction_of) if table else []
+        # the empty image, or a cycle beside other cycles or isolated pixels
+        if not cycle or len(cycle) != len(table):
+            raise TraceError(_DISCONNECTED)
+        return CurveGraph((Vertex("cycle", ()),), (Edge(0, 0, tuple(cycle)),), adjacency)
 
-    # an end pixel (one foreground neighbour) can only be the end of an open chain
-    chain_ends = {p for chain, cycle in chains if not cycle for p in (chain[0], chain[-1])}
-    end_vertex: dict[Point, int] = {}
-    for p in sorted(p for p in chain_ends if len(table[p]) == 1):
-        end_vertex[p] = len(vertices)
-        vertices.append(Vertex("end", (p,)))
+    ports = {q for p in junction_of for q in table[p] if q not in junction_of}
+    chains = []
+    far_ends: set[Point] = set()
+    # each chain is met first at its smaller end
+    for start in sorted(ports.union(tips)):
+        if start not in far_ends:
+            chain = _walk(table, start, junction_of)
+            far_ends.add(chain[-1])
+            chains.append(chain)
+    # an isolated pixel or a cycle beside other strokes is on no walk
+    if len(junction_of) + sum(map(len, chains)) != len(table):
+        raise TraceError(_DISCONNECTED)
+    chains.sort(key=min)
+
+    vertices = [Vertex("junction", tuple(sorted(j))) for j in junctions]
+    vertices += [Vertex("end", (p,)) for p in tips]
+    end_vertex = {p: vid for vid, p in enumerate(tips, len(junctions))}
 
     def attachments(p: Point) -> list[int]:
-        # an end pixel's own vertex, then its junction neighbours in sorted
-        # order; a chain of two or more pixels attaches each end to one of
-        # them, a one-pixel chain runs from the first to the last
+        # a tip's own vertex, then its junction neighbours in sorted order; a
+        # chain of two or more pixels attaches each end to one of them, a
+        # one-pixel chain runs from the first to the last
         ids = [end_vertex[p]] if p in end_vertex else []
         ids += [junction_of[q] for q in table[p] if q in junction_of]
-        if not ids:  # an isolated pixel
-            raise TraceError(_DISCONNECTED)
         return ids
 
     edges: list[Edge] = []
-    for chain, cycle in chains:
-        if cycle:
-            if junctions:
-                raise TraceError(_DISCONNECTED)
-            vid = len(vertices)
-            vertices.append(Vertex("cycle", ()))
-            edges.append(Edge(vid, vid, tuple(chain)))
-            continue
+    for chain in chains:
         first, last = chain[0], chain[-1]
         # end pixels live on their vertices, not in the edge's pixel list
         start = 1 if first in end_vertex else 0
@@ -234,7 +234,7 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
         edges.append(Edge(attachments(first)[0], attachments(last)[-1], tuple(chain[start:stop])))
 
     graph = CurveGraph(tuple(vertices), tuple(edges), adjacency)
-    if not vertices or not graph.is_connected():
+    if not graph.is_connected():
         raise TraceError(_DISCONNECTED)
     return graph
 
@@ -521,10 +521,12 @@ def emit_path(g: CurveGraph, tour: list[Traversal]) -> EmitResult:
             append(p)
 
     def _attach(pixels: frozenset[Point], outside: Point) -> Point:
-        cand = sorted(q for q in neighbours(outside, adjacency) if q in pixels)
-        if not cand:
-            raise EmitError(f"pixel {outside} does not touch the junction it should")
-        return cand[0]
+        # the smallest junction pixel next to `outside`
+        x, y = outside
+        for dx, dy in _SORTED_OFFSETS[adjacency]:
+            if (q := (x + dx, y + dy)) in pixels:
+                return q
+        raise EmitError(f"pixel {outside} does not touch the junction it should")
 
     if not closed:
         emit_vertex(tour[0][1], None, lambda: lookahead(0))

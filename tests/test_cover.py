@@ -191,33 +191,39 @@ def test_python_calls_per_point_on_the_hot_paths(size, work, bound):
     assert calls <= bound * path.n_points, (work, path.n_points, calls / path.n_points)
 
 
-def _ring_image(radius: int, adjacency: Adjacency) -> BinaryImage:
+def _ring_image(radius: int, adjacency: Adjacency, spoke: bool = False) -> BinaryImage:
     """The digitized circle as a raster; a 4-connected ring also gets a
-    corner pixel on every diagonal step."""
+    corner pixel on every diagonal step.  A spoke runs from (1, radius) to
+    the centre."""
     pts = synth.digitized_circle_path(radius).points
     fg = set()
     for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
         fg.add((radius + px, radius + py))
         if adjacency is Adjacency.FOUR and px != qx and py != qy:
             fg.add((radius + qx, radius + py))
+    if spoke:
+        fg.update((x, radius) for x in range(1, radius + 1))
     return BinaryImage(2 * radius + 1, 2 * radius + 1, frozenset(fg))
 
 
-@pytest.mark.parametrize("radius, adjacency", [
-    (300, Adjacency.EIGHT),  # 1,696 pixels
-    (1_000, Adjacency.FOUR),  # 8,000 pixels
-])
-def test_profile_events_per_pixel_of_the_trace(radius, adjacency):
+@pytest.mark.parametrize("radius, adjacency, spoke", [
+    (300, Adjacency.EIGHT, False),  # 1,696 pixels
+    (1_000, Adjacency.FOUR, False),  # 8,000 pixels
+    (300, Adjacency.EIGHT, True),  # 1,996 pixels: one junction and one end
+], ids=["300-Adjacency.EIGHT", "1000-Adjacency.FOUR", "300-Adjacency.EIGHT-spoke"])
+def test_profile_events_per_pixel_of_the_trace(radius, adjacency, spoke):
     """A timing-free guard on the trace's per-pixel constant: one component
-    search and one neighbour table per pixel, and an inline step lookup per
-    emitted point.  A second connected-set search over every pixel in
-    `build_curve_graph` and an `is_adjacent` call per emitted point made 6.0
-    calls and 12.0-13.0 C calls per pixel; this reads 5.0 and 7.0."""
-    img = _ring_image(radius, adjacency)
+    search and one neighbour table per pixel, chains walked from their ends
+    with no call per pixel, and an inline step lookup per emitted point.  A
+    copied neighbour table, a keyed sort of every pixel and a comprehension
+    per chain step made 5.0-5.1 calls and 7.0-7.1 C calls per pixel; this
+    reads 2.0-2.1 and 6.0-6.1.  The spoke sends its pixels through the
+    open-chain walk instead of the cycle return."""
+    img = _ring_image(radius, adjacency, spoke)
     events = profile_events(trace_image, img, adjacency)
     pixels = len(img.foreground)
-    assert events["call"] <= 5.5 * pixels, events["call"] / pixels
-    assert events["c_call"] <= 9 * pixels, events["c_call"] / pixels
+    assert events["call"] <= 2.5 * pixels, events["call"] / pixels
+    assert events["c_call"] <= 6.5 * pixels, events["c_call"] / pixels
 
 
 @pytest.mark.parametrize("path", [

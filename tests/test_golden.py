@@ -88,6 +88,10 @@ def _label(spec: PredicateSpec) -> str:
     return f"{spec.name}[{params}]" if params else spec.name
 
 
+def _compact(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _sha(chunks) -> str:
     h = hashlib.sha256()
     for chunk in chunks:
@@ -107,8 +111,8 @@ def cover_digests() -> dict:
                     continue
                 cov = route(path, spec)
                 graph = build_arc_graph(cov)
-                covers.append(json.dumps(cov.to_json_dict(), sort_keys=True, separators=(",", ":")))
-                graphs.append(graph.to_json())
+                covers.append(_compact(cov.to_json_dict()))
+                graphs.append(_compact(graph.to_json_dict()))
                 dots.append(graph.to_dot())
             out[f"{_label(spec)} {route_name}"] = (
                 _sha(covers), _sha(graphs), _sha(dots))
@@ -129,7 +133,7 @@ def scale_digests() -> dict:
     out = {}
     for name, (path, spec) in scale_inputs().items():
         graph = build_arc_graph(saturated_cover(path, spec))
-        out[name] = (len(graph.nodes), len(graph.edges), _sha([graph.to_json()]),
+        out[name] = (len(graph.nodes), len(graph.edges), _sha([_compact(graph.to_json_dict())]),
                      _sha([graph.to_dot()]))
     return out
 

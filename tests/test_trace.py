@@ -144,13 +144,17 @@ def test_pixel_partition_invariant():
     "...\n...",
     "#.###",
     "###..#.\n#.#.###\n###..#.",
-], ids=["two_components", "empty", "isolated_pixel_and_segment", "cycle_and_plus"])
+    "###.###\n#.#.#.#\n###.###",
+    "###.#\n#.#..\n###..",
+    "###.###\n#.#....\n###....",
+], ids=["two_components", "empty", "isolated_pixel_and_segment", "cycle_and_plus",
+        "two_cycles", "cycle_and_isolated_pixel", "cycle_and_segment"])
 def test_multi_component_rejected(art):
     img = image_from_ascii(art)
     for adjacency in (FOUR, EIGHT):
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match="expected a single connected component"):
             build_curve_graph(img, adjacency)
-        with pytest.raises(TraceError):
+        with pytest.raises(TraceError, match="expected a single connected component"):
             trace_component(img, adjacency)
 
 
