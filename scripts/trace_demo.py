@@ -51,7 +51,7 @@ def main() -> int:
         (out / f"demo_c{i}.json").write_text(path_to_json(tr.path) + "\n")
         cover = saturated_cover(tr.path, spec)
         (out / f"demo_c{i}.cover.json").write_text(
-            json.dumps(cover.to_json_dict(), sort_keys=True) + "\n")
+            json.dumps(cover.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n")
         graph = build_arc_graph(cover)
         print(f"component {i}: {tr.path.n_points} points, "
               f"{len(cover.segments)} maximal segments, "

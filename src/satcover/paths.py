@@ -38,36 +38,32 @@ class Adjacency(Enum):
         raise ValueError(f"unknown adjacency code {code!r} (expected '4', '8' or 'index')")
 
 
-def is_adjacent(p: Point, q: Point, adjacency: Adjacency) -> bool:
-    """True iff p != q and q - p has norm <= 1 under the declared norm."""
-    if p == q:
-        return False
-    if adjacency is Adjacency.INDEX:
-        return True
-    dx = abs(q[0] - p[0])
-    dy = abs(q[1] - p[1])
-    if adjacency is Adjacency.FOUR:
-        return dx + dy <= 1
-    return max(dx, dy) <= 1
-
-
-_NEIGHBOUR_OFFSETS = {
-    Adjacency.FOUR: ((0, -1), (-1, 0), (1, 0), (0, 1)),
-    Adjacency.EIGHT: ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)),
+# The offsets q - p from a grid point p to its neighbours q, in sorted
+# order: adding p keeps their order, so p's neighbours come out sorted.
+NEIGHBOUR_OFFSETS = {
+    Adjacency.FOUR: ((-1, 0), (0, -1), (0, 1), (1, 0)),
+    Adjacency.EIGHT: ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
 }
 
 # The steps q - p between adjacent grid points: p and q are adjacent iff
 # their difference is one of these.  Per-point code tests adjacency with
-# this one set lookup instead of calling `is_adjacent`.
-UNIT_STEPS = {adj: frozenset(offsets) for adj, offsets in _NEIGHBOUR_OFFSETS.items()}
+# this one set lookup.
+UNIT_STEPS = {adj: frozenset(offsets) for adj, offsets in NEIGHBOUR_OFFSETS.items()}
+
+
+def is_adjacent(p: Point, q: Point, adjacency: Adjacency) -> bool:
+    """True iff p != q and q - p has norm <= 1 under the declared norm."""
+    if adjacency is Adjacency.INDEX:
+        return p != q
+    return (q[0] - p[0], q[1] - p[1]) in UNIT_STEPS[adjacency]
 
 
 def neighbours(p: Point, adjacency: Adjacency) -> tuple[Point, ...]:
-    """The neighbourhood of p, in deterministic scan order."""
+    """The neighbourhood of p, in sorted order."""
     if adjacency is Adjacency.INDEX:
         raise ValueError("INDEX adjacency has no finite neighbourhood")
     x, y = p
-    return tuple((x + dx, y + dy) for dx, dy in _NEIGHBOUR_OFFSETS[adjacency])
+    return tuple((x + dx, y + dy) for dx, dy in NEIGHBOUR_OFFSETS[adjacency])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .paths import UNIT_STEPS, Adjacency, DigitalPath, Point, neighbours
+from .paths import NEIGHBOUR_OFFSETS, Adjacency, DigitalPath, Point, validate_path
 from .pbm import BinaryImage
 
 
@@ -31,13 +31,7 @@ class OddVerticesError(TraceError):
 
 
 class EmitError(TraceError):
-    """A seam could not be made adjacent while flattening a tour."""
-
-
-# Neighbour offsets in sorted order: adding p keeps their lexicographic
-# order, so p's neighbours come out as sorted(neighbours(p, adjacency)).
-_SORTED_OFFSETS = {adj: tuple(sorted(neighbours((0, 0), adj)))
-                   for adj in (Adjacency.FOUR, Adjacency.EIGHT)}
+    """A tour could not be flattened to a valid pixel path."""
 
 
 def _bfs(seed: Point, inside, adjacency: Adjacency) -> dict[Point, Optional[Point]]:
@@ -45,7 +39,7 @@ def _bfs(seed: Point, inside, adjacency: Adjacency) -> dict[Point, Optional[Poin
     neighbours in sorted order.  Returns the search-tree parent of every
     reached pixel (None for the seed) in visit order, so each pixel's
     children appear sorted."""
-    offsets = _SORTED_OFFSETS[adjacency]
+    offsets = NEIGHBOUR_OFFSETS[adjacency]
     parent: dict[Point, Optional[Point]] = {seed: None}
     queue = deque([seed])
     while queue:
@@ -78,7 +72,7 @@ def components(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]
 
 def _neighbour_table(pixels, adjacency: Adjacency) -> dict[Point, list[Point]]:
     """Each pixel's neighbours among `pixels`, in sorted order."""
-    offsets = _SORTED_OFFSETS[adjacency]
+    offsets = NEIGHBOUR_OFFSETS[adjacency]
     table = {}
     for p in pixels:
         x, y = p
@@ -407,12 +401,6 @@ class Run:
     forward: bool
 
 
-@dataclass(frozen=True)
-class EmitResult:
-    path: DigitalPath
-    runs: tuple[Run, ...]
-
-
 def _route(parent: dict[Point, Optional[Point]], entry: Point, exit_: Point) -> list[Point]:
     """Search-tree path from the search's seed `entry` to exit_."""
     if exit_ not in parent:
@@ -457,94 +445,76 @@ def _junction_tree_walk(pixels: frozenset[Point], entry: Point, exit_: Point,
     return out
 
 
-def emit_path(g: CurveGraph, tour: list[Traversal]) -> EmitResult:
+def emit_path(g: CurveGraph, tour: list[Traversal]) -> tuple[DigitalPath, tuple[Run, ...]]:
     """Concatenate the tour's edge pixels, routing through junction pixels at
     the seams.  The first crossing of each junction covers all its pixels, so
-    the emitted path visits every foreground pixel of the component."""
+    the emitted path visits every foreground pixel of the component.  The
+    finished path is validated once, the wrap pair of a closed path included;
+    a pair that is not adjacent raises EmitError."""
     if not tour:
         raise TraceError("cannot emit an empty tour")
     closed = tour[0][1] == tour[-1][2]
     adjacency = g.adjacency
+    legs = []  # each traversal's edge pixels in walking order
+    for eid, u, _ in tour:
+        e = g.edges[eid]
+        legs.append(e.pixels if u == e.u else e.pixels[::-1])
     stream: list[Point] = []
     runs: list[Run] = []
     seen: set[int] = set()
-    steps = UNIT_STEPS[adjacency]
 
-    def append(p: Point) -> None:
-        if stream:
-            q = stream[-1]
-            if (p[0] - q[0], p[1] - q[1]) not in steps:
-                raise EmitError(f"seam break: {q} to {p} not adjacent")
-        stream.append(p)
-
-    def oriented(k: int) -> tuple[tuple[Point, ...], bool]:
-        eid, u, _ = tour[k]
-        e = g.edges[eid]
-        fwd = u == e.u
-        return (e.pixels if fwd else tuple(reversed(e.pixels))), fwd
-
-    def lookahead(k: int) -> Point:
-        pix, _ = oriented(k)
-        if pix:
-            return pix[0]
+    def first(k: int) -> Point:
+        # the first pixel traversal k emits; only a junction asks, as an
+        # empty traversal from an end into a junction has none
+        if legs[k]:
+            return legs[k][0]
         vert = g.vertices[tour[k][2]]
         if vert.kind != "end":
             raise AssertionError("empty edge must end at an end vertex")
         return vert.pixels[0]
 
-    def emit_vertex(vid: int, prev: Optional[Point], nxt_thunk) -> None:
+    def emit_vertex(vid: int, nxt: Optional[int]) -> None:
+        # nxt: the index of the traversal that leaves vid, None at the end
         vert = g.vertices[vid]
-        if vert.kind == "cycle":
+        if vert.kind == "end" and (not stream or stream[-1] != vert.pixels[0]):
+            stream.append(vert.pixels[0])
+        if vert.kind != "junction":
             return
-        if vert.kind == "end":
-            p = vert.pixels[0]
-            if not stream or stream[-1] != p:
-                append(p)
-            return
-        nxt = nxt_thunk() if nxt_thunk is not None else None
         pixels = frozenset(vert.pixels)
-        entry = _attach(pixels, prev) if prev is not None else None
-        exit_ = _attach(pixels, nxt) if nxt is not None else None
-        first = vid not in seen
-        seen.add(vid)
-        if first:
+        entry = _attach(pixels, stream[-1]) if stream else None
+        exit_ = _attach(pixels, first(nxt)) if nxt is not None else None
+        if vid not in seen:
+            seen.add(vid)
             if entry is None:
                 entry = exit_ if exit_ is not None else min(pixels)
             if exit_ is None:
                 exit_ = entry
-            route = _junction_tree_walk(pixels, entry, exit_, adjacency)
-        else:
-            if entry is None or exit_ is None:
-                return
-            route = _route(_bfs(entry, pixels, adjacency), entry, exit_)
-        for p in route:
-            append(p)
+            stream.extend(_junction_tree_walk(pixels, entry, exit_, adjacency))
+        elif entry is not None and exit_ is not None:
+            stream.extend(_route(_bfs(entry, pixels, adjacency), entry, exit_))
 
     def _attach(pixels: frozenset[Point], outside: Point) -> Point:
         # the smallest junction pixel next to `outside`
         x, y = outside
-        for dx, dy in _SORTED_OFFSETS[adjacency]:
+        for dx, dy in NEIGHBOUR_OFFSETS[adjacency]:
             if (q := (x + dx, y + dy)) in pixels:
                 return q
         raise EmitError(f"pixel {outside} does not touch the junction it should")
 
     if not closed:
-        emit_vertex(tour[0][1], None, lambda: lookahead(0))
+        emit_vertex(tour[0][1], 0)
+    last = len(tour) - 1
     for k, (eid, u, v) in enumerate(tour):
-        pix, fwd = oriented(k)
-        runs.append(Run(eid, len(stream), len(pix), fwd))
-        for p in pix:
-            append(p)
-        if k + 1 < len(tour):
-            nxt = k + 1
-            emit_vertex(v, stream[-1] if stream else None, lambda k=nxt: lookahead(k))
-        elif closed:
-            emit_vertex(v, stream[-1] if stream else None, lambda: stream[0] if stream else None)
-        else:
-            emit_vertex(v, stream[-1] if stream else None, None)
+        runs.append(Run(eid, len(stream), len(legs[k]), u == g.edges[eid].u))
+        stream.extend(legs[k])
+        emit_vertex(v, k + 1 if k < last else 0 if closed else None)
 
     path = DigitalPath(tuple(stream), closed=closed, adjacency=adjacency)
-    return EmitResult(path, tuple(runs))
+    report = validate_path(path)
+    if not report.ok:
+        i = report.index
+        raise EmitError(f"seam break: {stream[i]} to {stream[(i + 1) % len(stream)]} not adjacent")
+    return path, tuple(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +551,8 @@ def trace_component(img: BinaryImage, adjacency: Adjacency) -> ComponentTrace:
         if odd:
             g = eulerize(g)
         tour = euler_tour(g, 0)
-    emitted = emit_path(g, tour)
-    return ComponentTrace(emitted.path, g, tuple(tour), emitted.runs)
+    path, runs = emit_path(g, tour)
+    return ComponentTrace(path, g, tuple(tour), runs)
 
 
 def trace_image(img: BinaryImage, adjacency: Adjacency) -> list[ComponentTrace]:

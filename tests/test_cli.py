@@ -279,11 +279,13 @@ def test_list_predicates(capsys):
     assert "non-conservative" in out
 
 
-def test_trace_demo_script_runs(tmp_path):
+def test_trace_demo_script_runs(tmp_path, capsys):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "trace_demo.py"),
                            "--out-dir", str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "demo_trace.svg").is_file()
-    assert (tmp_path / "demo_c0.cover.json").is_file()
+    # the demo's cover JSON is the CLI's: compact, key-sorted, byte-stable
+    assert main(["cover", str(tmp_path / "demo_c0.json"), "--predicate", "dss"]) == 0
+    assert (tmp_path / "demo_c0.cover.json").read_bytes() == capsys.readouterr().out.encode()

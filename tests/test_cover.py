@@ -214,16 +214,17 @@ def _ring_image(radius: int, adjacency: Adjacency, spoke: bool = False) -> Binar
 def test_profile_events_per_pixel_of_the_trace(radius, adjacency, spoke):
     """A timing-free guard on the trace's per-pixel constant: one component
     search and one neighbour table per pixel, chains walked from their ends
-    with no call per pixel, and an inline step lookup per emitted point.  A
-    copied neighbour table, a keyed sort of every pixel and a comprehension
-    per chain step made 5.0-5.1 calls and 7.0-7.1 C calls per pixel; this
-    reads 2.0-2.1 and 6.0-6.1.  The spoke sends its pixels through the
-    open-chain walk instead of the cycle return."""
+    with no call per pixel, and a tour flattened by extending the stream with
+    whole edges, then validated once.  A copied neighbour table, a keyed sort
+    of every pixel and a comprehension per chain step made 5.0-5.1 calls and
+    7.0-7.1 C calls per pixel; a checking closure per emitted point made
+    2.0-2.05 and 6.0-6.1; this reads 1.0-1.05 and 5.0-5.1.  The spoke sends
+    its pixels through the open-chain walk instead of the cycle return."""
     img = _ring_image(radius, adjacency, spoke)
     events = profile_events(trace_image, img, adjacency)
     pixels = len(img.foreground)
-    assert events["call"] <= 2.5 * pixels, events["call"] / pixels
-    assert events["c_call"] <= 6.5 * pixels, events["c_call"] / pixels
+    assert events["call"] <= 1.5 * pixels, events["call"] / pixels
+    assert events["c_call"] <= 5.5 * pixels, events["c_call"] / pixels
 
 
 @pytest.mark.parametrize("path", [

@@ -27,6 +27,12 @@ def test_is_adjacent_norms():
     assert not is_adjacent((0, 0), (0, 0), Adjacency.EIGHT)
     assert is_adjacent((5, -3), (99, 99), Adjacency.INDEX)
     assert not is_adjacent((5, -3), (5, -3), Adjacency.INDEX)
+    # the unit-step lookup agrees with the norms on a window of offsets
+    for dx in range(-3, 4):
+        for dy in range(-3, 4):
+            q = (2 + dx, -1 + dy)
+            assert is_adjacent((2, -1), q, Adjacency.FOUR) == (abs(dx) + abs(dy) == 1)
+            assert is_adjacent((2, -1), q, Adjacency.EIGHT) == (max(abs(dx), abs(dy)) == 1)
 
 
 def test_validate_reports():

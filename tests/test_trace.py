@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -14,12 +15,14 @@ from satcover.pbm import BinaryImage, image_from_ascii
 from satcover.trace import (
     CurveGraph,
     Edge,
+    EmitError,
     OddVerticesError,
     TraceError,
     Vertex,
     _vertex_dijkstra,
     build_curve_graph,
     components,
+    emit_path,
     euler_open_trail,
     euler_tour,
     eulerize,
@@ -347,13 +350,26 @@ def test_emit_fixture_corpus(name):
     img = fixture_image(name)
     for tr in trace_image(img, FOUR):
         sub = BinaryImage(img.width, img.height, frozenset(tr.path.points) & img.foreground)
-        _check_component(BinaryImage(img.width, img.height,
-                                     frozenset(p for p in img.foreground
-                                               if p in set(tr.path.points))), tr)
+        _check_component(sub, tr)
     covered = set()
     for tr in trace_image(img, FOUR):
         covered |= set(tr.path.points)
     assert covered == set(img.foreground)
+
+
+def test_emit_refuses_a_path_that_is_not_adjacent():
+    """The emitted path is validated once, the wrap pair of a closed path
+    included: a gap inside an open segment's edge and a self-loop whose last
+    pixel does not touch its first both raise EmitError."""
+    gap = CurveGraph((Vertex("end", ((0, 0),)), Vertex("end", ((4, 0),))),
+                     (Edge(0, 1, ((1, 0), (3, 0))),), FOUR)
+    with pytest.raises(EmitError, match=r"seam break: \(1, 0\) to \(3, 0\) not adjacent"):
+        emit_path(gap, euler_open_trail(gap))
+
+    loop = CurveGraph((Vertex("cycle", ()),),
+                      (Edge(0, 0, ((0, 0), (1, 0), (2, 0), (3, 0))),), FOUR)
+    with pytest.raises(EmitError, match=r"seam break: \(3, 0\) to \(0, 0\) not adjacent"):
+        emit_path(loop, euler_tour(loop, 0))
 
 
 def test_trace_image_components_and_isolated():
@@ -368,6 +384,59 @@ def test_trace_image_components_and_isolated():
 
     blank = BinaryImage(4, 4, frozenset())
     assert trace_image(blank, FOUR) == []
+
+
+_SIDE = 4
+_CELLS = [(x, y) for y in range(_SIDE) for x in range(_SIDE)]
+
+
+@lru_cache(maxsize=None)
+def _square_class_masks() -> tuple[int, ...]:
+    """One nonempty 4x4 image per symmetry class of the square, as a bit
+    mask over _CELLS: the smallest mask of each class."""
+    m = _SIDE - 1
+    perms = [[_CELLS.index(f(x, y)) for x, y in _CELLS] for f in (
+        lambda x, y: (y, x), lambda x, y: (m - x, y), lambda x, y: (x, m - y),
+        lambda x, y: (m - y, x), lambda x, y: (y, m - x), lambda x, y: (m - x, m - y),
+        lambda x, y: (m - y, m - x))]
+    classes, seen = [], set()
+    for mask in range(1, 1 << len(_CELLS)):
+        if mask not in seen:
+            classes.append(mask)
+            bits = [i for i in range(len(_CELLS)) if mask >> i & 1]
+            seen.update(sum(1 << perm[i] for i in bits) for perm in perms)
+    return tuple(classes)
+
+
+@pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
+def test_small_scope_rasters(adjacency):
+    """Every 4x4 image up to the symmetries of the square traces with no
+    exception into valid paths that cover exactly the foreground, with every
+    eulerized edge a contiguous run and an optimal Chinese-Postman
+    duplication (none when the open trail needs none)."""
+    masks = _square_class_masks()
+    assert len(masks) == 8547
+    duplicated = 0
+    for mask in masks:
+        fg = frozenset(c for i, c in enumerate(_CELLS) if mask >> i & 1)
+        img = BinaryImage(_SIDE, _SIDE, fg)
+        comps = components(img, adjacency)
+        traces = trace_image(img, adjacency)
+        assert len(traces) == len(comps)
+        covered = set()
+        for comp, tr in zip(comps, traces):
+            _check_component(BinaryImage(_SIDE, _SIDE, comp), tr)
+            covered.update(tr.path.points)
+            if tr.graph is None or not tr.tour:
+                continue
+            base = CurveGraph(tr.graph.vertices,
+                              tuple(e for e in tr.graph.edges if e.duplicate_of is None), adjacency)
+            odd = base.odd_vertices()
+            want = 0 if len(odd) == 2 else _matching_lower_bound(base)
+            assert _duplicated_weight(tr.graph) == want, (mask, odd)
+            duplicated += want > 0
+        assert covered == fg, mask
+    assert duplicated > 300, duplicated
 
 
 def test_all_branching_blob_covered():
