@@ -27,7 +27,8 @@ class TraceError(ValueError):
 
 
 class OddVerticesError(TraceError):
-    """Chinese Postman matching refused: too many odd-degree vertices."""
+    """Chinese Postman matching refused: one 2-edge-connected block of the
+    curve graph has more than MAX_ODD vertices in its parity set."""
 
 
 class EmitError(TraceError):
@@ -80,13 +81,25 @@ def _neighbour_table(pixels, adjacency: Adjacency) -> dict[Point, list[Point]]:
     return table
 
 
-def _junctions(table: dict[Point, list[Point]], adjacency: Adjacency) -> list[frozenset[Point]]:
-    """Maximal connected sets of branching pixels, sorted by their smallest pixel."""
-    return _connected_sets({p for p, qs in table.items() if len(qs) >= 3}, adjacency)
+def _branching_and_tips(table: dict[Point, list[Point]]) -> tuple[set[Point], list[Point]]:
+    """The branching pixels (three or more neighbours) and the tips (one
+    neighbour, sorted), from one pass over the table."""
+    branching: set[Point] = set()
+    tips = []
+    for p, qs in table.items():
+        degree = len(qs)
+        if degree >= 3:
+            branching.add(p)
+        elif degree == 1:
+            tips.append(p)
+    tips.sort()
+    return branching, tips
 
 
 def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
-    return _junctions(_neighbour_table(img.foreground, adjacency), adjacency)
+    """Maximal connected sets of branching pixels, sorted by their smallest pixel."""
+    branching, _ = _branching_and_tips(_neighbour_table(img.foreground, adjacency))
+    return _connected_sets(branching, adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +196,9 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
     if len(table) == 1:
         return CurveGraph((Vertex("end", tuple(table)),), (), adjacency)
 
-    junctions = _junctions(table, adjacency)
+    branching, tips = _branching_and_tips(table)
+    junctions = _connected_sets(branching, adjacency)
     junction_of = {p: jid for jid, j in enumerate(junctions) for p in j}
-    tips = sorted([p for p, qs in table.items() if len(qs) == 1])
     if not tips and not junctions:
         cycle = _walk(table, min(table), junction_of) if table else []
         # the empty image, or a cycle beside other cycles or isolated pixels
@@ -238,13 +251,20 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_dijkstra(g: CurveGraph, source: int):
-    """Shortest paths over the multigraph; returns (dist, predecessor edge)."""
-    n = len(g.vertices)
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (weight, other, edge id)
+def _adjacency(g: CurveGraph, skip=frozenset()) -> list[list[tuple[int, int, int]]]:
+    """Each vertex's (weight, other end, edge id) in edge-id order, leaving
+    out the edges in `skip`; a self-loop is listed twice at its vertex."""
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in g.vertices]
     for ei, e in enumerate(g.edges):
-        adj[e.u].append((e.weight, e.v, ei))
-        adj[e.v].append((e.weight, e.u, ei))
+        if ei not in skip:
+            adj[e.u].append((e.weight, e.v, ei))
+            adj[e.v].append((e.weight, e.u, ei))
+    return adj
+
+
+def _dijkstra(adj: list[list[tuple[int, int, int]]], source: int):
+    """Shortest paths from source over `adj`; returns (dist, predecessor edge)."""
+    n = len(adj)
     dist = [None] * n
     pred: list[Optional[tuple[int, int]]] = [None] * n  # (prev vertex, edge id)
     heap = [(0, source)]
@@ -262,69 +282,222 @@ def _vertex_dijkstra(g: CurveGraph, source: int):
     return dist, pred
 
 
-def _min_weight_matching(odd: list[int], dist: dict[int, list]) -> list[tuple[int, int]]:
-    n = len(odd)
-    full = (1 << n) - 1
+def _vertex_dijkstra(g: CurveGraph, source: int):
+    """Shortest paths over the multigraph; returns (dist, predecessor edge)."""
+    return _dijkstra(_adjacency(g), source)
+
+
+def _bridges(adj: list[list[tuple[int, int, int]]]) -> set[int]:
+    """Edge ids of the bridges of a connected multigraph, by an iterative
+    lowlink search from vertex 0.  The search skips only the edge it arrived
+    by, so a parallel copy of it is a back edge, and a self-loop lowers
+    nothing: neither is ever a bridge."""
+    order = [0] * len(adj)  # discovery time from 1; 0 while unvisited
+    low = [0] * len(adj)
+    order[0] = low[0] = clock = 1
+    bridges = set()
+    stack = [(0, -1, iter(adj[0]))]
+    while stack:
+        u, arrived_by, todo = stack[-1]
+        for _, v, ei in todo:
+            if ei == arrived_by:
+                continue
+            if order[v]:
+                low[u] = min(low[u], order[v])
+            else:
+                clock += 1
+                order[v] = low[v] = clock
+                stack.append((v, ei, iter(adj[v])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                p = stack[-1][0]
+                low[p] = min(low[p], low[u])
+                if low[u] > order[p]:
+                    bridges.add(arrived_by)
+    return bridges
+
+
+def _blocks(adj: list[list[tuple[int, int, int]]], bridges: set[int]):
+    """The 2-edge-connected blocks, by one search from vertex 0 that opens a
+    new block on each bridge it crosses: a block hangs off the rest only by
+    the bridge above it, so the search enters it there.  Returns each
+    vertex's block, each block's vertices and, for every block but block 0,
+    the bridge above it as (edge id, its end in the block, its other end).
+    A block is numbered after its parent."""
+    block = [-1] * len(adj)
+    block[0] = 0
+    members = [[0]]
+    up: list[Optional[tuple[int, int, int]]] = [None]
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for _, v, ei in adj[u]:
+            if block[v] < 0:
+                if ei in bridges:
+                    block[v] = len(members)
+                    members.append([v])
+                    up.append((ei, v, u))
+                else:
+                    block[v] = block[u]
+                    members[block[u]].append(v)
+                stack.append(v)
+    return block, members, up
+
+
+MAX_ODD = 20  # cap on one block's parity set, for the exact bitmask matching
+
+
+def _postman_edges(g: CurveGraph, odd: list[int]) -> list[int]:
+    """The edge ids to duplicate, pair by pair.  The odd vertices are paired
+    by the lexicographically first minimum-weight pairing: the lowest
+    unpaired vertex a takes the smallest partner c with which the rest can
+    still reach the optimum.  Each pair's edges are those of the shortest
+    path from a, listed from c back to a.
+
+    The optimum tau(T) of a set T of vertices splits over the bridges and
+    2-edge-connected blocks.  A bridge is duplicated iff the side of it
+    away from block 0 holds an odd number of T.  Each block pairs its
+    parity set by a bitmask DP: its vertices in T, with each end of a
+    duplicated bridge toggled.  A shortest path between two vertices of a
+    block stays inside it, so the DP reads distances from a search that
+    never crosses a bridge.
+
+    Pairing a with c un-duplicates every bridge between their blocks and
+    toggles two vertices (x, y) in each block on the way; dist(a, c) is the
+    sum of those bridges and the block distances d(x, y).  No part of tau
+    drops by more than its share of dist(a, c), so c reaches the optimum
+    iff every bridge on the way is duplicated and each block's DP drops by
+    exactly d(x, y).  A tree's blocks are single vertices, so a tree pairs
+    by parity alone and needs no search."""
+    adj = _adjacency(g)
+    bridges = _bridges(adj)
+    block, members, up = _blocks(adj, bridges)
+    bit = [0] * len(adj)  # a vertex's bit in its block's masks
+    for vs in members:
+        for k, v in enumerate(vs):
+            bit[v] = 1 << k
+    depth = [0]
+    for _, _, hi in up[1:]:
+        depth.append(depth[block[hi]] + 1)
+
+    # the parity sets of `odd`: one mask per block, children before parents
+    mask = [0] * len(members)
+    below = [0] * len(members)  # odd vertices in the block and under it
+    for v in odd:
+        mask[block[v]] ^= bit[v]
+        below[block[v]] += 1
+    doubled = [False] * len(g.edges)
+    for b in range(len(members) - 1, 0, -1):
+        ei, lo, hi = up[b]
+        below[block[hi]] += below[b]
+        if below[b] % 2:
+            doubled[ei] = True
+            mask[b] ^= bit[lo]
+            mask[block[hi]] ^= bit[hi]
+    worst = max(m.bit_count() for m in mask)
+    if worst > MAX_ODD:
+        raise OddVerticesError(f"{worst} odd vertices in one 2-edge-connected block "
+                               f"exceed the exact matching cap of {MAX_ODD}")
+
+    inner = _adjacency(g, bridges)
+    searches: dict[int, tuple] = {}
+
+    def paths_from(v: int):
+        if v not in searches:
+            searches[v] = _dijkstra(inner, v)
+        return searches[v]
 
     @lru_cache(maxsize=None)
-    def best(mask: int) -> int:
-        if mask == full:
+    def tau(b: int, m: int) -> int:
+        # the minimum pairing weight of the vertices of block b in mask m
+        if not m:
             return 0
-        i = next(k for k in range(n) if not mask & (1 << k))
-        out = None
-        for j in range(i + 1, n):
-            if mask & (1 << j):
-                continue
-            c = dist[odd[i]][odd[j]] + best(mask | (1 << i) | (1 << j))
-            if out is None or c < out:
-                out = c
-        return out
+        lowest = m & -m
+        dist = paths_from(members[b][lowest.bit_length() - 1])[0]
+        rest = todo = m ^ lowest
+        best = None
+        while todo:
+            j = todo & -todo
+            todo ^= j
+            c = dist[members[b][j.bit_length() - 1]] + tau(b, rest ^ j)
+            if best is None or c < best:
+                best = c
+        return best
 
-    pairs = []
-    mask = 0
-    while mask != full:
-        i = next(k for k in range(n) if not mask & (1 << k))
-        target = best(mask)
-        for j in range(i + 1, n):
-            if mask & (1 << j):
-                continue
-            nm = mask | (1 << i) | (1 << j)
-            if dist[odd[i]][odd[j]] + best(nm) == target:
-                pairs.append((odd[i], odd[j]))
-                mask = nm
+    def route(a: int, c: int):
+        # the legs (x, y) inside each block from a to c and the bridges
+        # between them, or None at a bridge that is not duplicated
+        xa, xc, ba, bc = a, c, block[a], block[c]
+        legs_a, legs_c, bridges_a, bridges_c = [], [], [], []
+        while ba != bc:
+            if depth[ba] >= depth[bc]:
+                ei, lo, hi = up[ba]
+                if not doubled[ei]:
+                    return None
+                legs_a.append((xa, lo))
+                bridges_a.append(ei)
+                xa, ba = hi, block[hi]
+            else:
+                ei, lo, hi = up[bc]
+                if not doubled[ei]:
+                    return None
+                legs_c.append((lo, xc))
+                bridges_c.append(ei)
+                xc, bc = hi, block[hi]
+        return legs_a + [(xa, xc)] + legs_c[::-1], bridges_a + bridges_c[::-1]
+
+    def tight(x: int, y: int) -> bool:
+        if x == y:
+            return True
+        b = block[x]
+        return tau(b, mask[b]) - tau(b, mask[b] ^ bit[x] ^ bit[y]) == paths_from(x)[0][y]
+
+    out: list[int] = []
+    unpaired = list(odd)
+    while unpaired:
+        a = unpaired[0]
+        for k in range(1, len(unpaired)):
+            found = route(a, unpaired[k])
+            if found is not None and all(tight(x, y) for x, y in found[0]):
                 break
-    best.cache_clear()
-    return pairs
-
-
-MAX_ODD = 20  # odd-vertex cap of the exact bitmask matching
+        else:
+            raise AssertionError(f"no optimal partner for odd vertex {a}")
+        del unpaired[k], unpaired[0]
+        legs, crossed = found
+        for ei in crossed:
+            doubled[ei] = False
+        for x, y in legs:
+            mask[block[x]] ^= bit[x] ^ bit[y]
+        # from c back to a: each leg from its far end, then the bridge before it
+        for k in range(len(legs) - 1, -1, -1):
+            x, cur = legs[k]
+            while cur != x:
+                cur, ei = paths_from(x)[1][cur]
+                out.append(ei)
+            if k:
+                out.append(crossed[k - 1])
+    tau.cache_clear()
+    return out
 
 
 def eulerize(g: CurveGraph) -> CurveGraph:
     """Duplicate edges along minimum-weight shortest paths pairing up the
     odd-degree vertices (edge weight = pixel count + 2), so that every
-    vertex ends up with even degree.  The copies mark back-and-forth use."""
+    vertex ends up with even degree.  The copies mark back-and-forth use.
+    Bridges are duplicated by parity and only the 2-edge-connected blocks
+    are matched exactly, so a tree of any size eulerizes; a block whose
+    parity set exceeds MAX_ODD raises OddVerticesError."""
     if not g.is_connected():
         raise TraceError("cannot eulerize a disconnected graph")
     odd = g.odd_vertices()
     if not odd:
         return g
-    if len(odd) > MAX_ODD:
-        raise OddVerticesError(
-            f"{len(odd)} odd vertices exceed the exact matching cap of {MAX_ODD}")
-    dist = {}
-    pred = {}
-    for s in odd:
-        dist[s], pred[s] = _vertex_dijkstra(g, s)
-    pairs = _min_weight_matching(odd, dist)
     new_edges = list(g.edges)
-    for a, b in pairs:
-        cur = b
-        while cur != a:
-            prev, ei = pred[a][cur]
-            base = g.edges[ei]
-            new_edges.append(Edge(base.u, base.v, base.pixels, duplicate_of=ei))
-            cur = prev
+    for ei in _postman_edges(g, odd):
+        base = g.edges[ei]
+        new_edges.append(Edge(base.u, base.v, base.pixels, duplicate_of=ei))
     return CurveGraph(g.vertices, tuple(new_edges), g.adjacency)
 
 

@@ -34,11 +34,18 @@ arcs; the sorted-start builder must return the same nodes, edges and
 `proper` flag.  `literal_cover` is the saturated cover by its definition
 verbatim: every interval is evaluated and true intervals contained in
 other true intervals are dropped.
+
+`min_weight_matching_reference` is the bitmask matching over all odd
+vertices that `satcover.trace.eulerize` used before it split the problem
+over bridges and 2-edge-connected blocks: the lowest unpaired odd vertex
+takes the smallest partner that can still reach the optimum.  The
+eulerization must duplicate the edges of exactly these pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -267,6 +274,41 @@ def min_matching_weight(odd: list[int], dist) -> int:
         if best is None or cost < best:
             best = cost
     return best
+
+
+def min_weight_matching_reference(odd: list[int], dist: dict[int, list]) -> list[tuple[int, int]]:
+    n = len(odd)
+    full = (1 << n) - 1
+
+    @lru_cache(maxsize=None)
+    def best(mask: int) -> int:
+        if mask == full:
+            return 0
+        i = next(k for k in range(n) if not mask & (1 << k))
+        out = None
+        for j in range(i + 1, n):
+            if mask & (1 << j):
+                continue
+            c = dist[odd[i]][odd[j]] + best(mask | (1 << i) | (1 << j))
+            if out is None or c < out:
+                out = c
+        return out
+
+    pairs = []
+    mask = 0
+    while mask != full:
+        i = next(k for k in range(n) if not mask & (1 << k))
+        target = best(mask)
+        for j in range(i + 1, n):
+            if mask & (1 << j):
+                continue
+            nm = mask | (1 << i) | (1 << j)
+            if dist[odd[i]][odd[j]] + best(nm) == target:
+                pairs.append((odd[i], odd[j]))
+                mask = nm
+                break
+    best.cache_clear()
+    return pairs
 
 
 def _tokens(data: bytes):

@@ -80,11 +80,24 @@ def test_trace_malformed_exits_2(tmp_path, capsys):
 
 
 def test_trace_odd_cap_exits_3(tmp_path, capsys):
-    # comb: spine with 21 teeth -> 44 odd vertices, above the matching cap
+    # comb: spine with 21 teeth -> 44 odd vertices, but a tree, which pairs
+    # its odd vertices by parity whatever their number
     spine = ["#" * 43]
     teeth = "".join("#" if x % 2 == 1 else "." for x in range(43))
     art = teeth + "\n" + spine[0]
     src = write_pbm(tmp_path, "comb.pbm", art)
+    assert main(["trace", str(src), "--adjacency", "4"]) == 0
+    assert [p.name for p in tmp_path.glob("comb_c*.json")] == ["comb_c0.json"]
+    path = path_from_json((tmp_path / "comb_c0.json").read_text())
+    assert set(path.points) == image_from_ascii(art).foreground
+
+    # 12x12 cells of one-pixel lines: 44 odd T-junctions in one
+    # 2-edge-connected block, above the matching cap
+    side = 12 * 4 + 1
+    lattice = BinaryImage(side, side, frozenset(
+        (x, y) for y in range(side) for x in range(side) if x % 4 == 0 or y % 4 == 0))
+    src = tmp_path / "lattice.pbm"
+    src.write_bytes(dump_p1(lattice))
     assert main(["trace", str(src), "--adjacency", "4"]) == 3
     assert "odd" in capsys.readouterr().err
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -9,10 +10,12 @@ from oracles import (
     build_curve_graph_reference,
     find_junctions_reference,
     min_matching_weight,
+    min_weight_matching_reference,
 )
 from satcover.paths import Adjacency, is_adjacent, validate_path
 from satcover.pbm import BinaryImage, image_from_ascii
 from satcover.trace import (
+    MAX_ODD,
     CurveGraph,
     Edge,
     EmitError,
@@ -254,13 +257,117 @@ def test_eulerize_optimal(name):
 
 
 def test_eulerize_cap():
-    # star with 21 rays: 22 odd vertices
+    """MAX_ODD caps one 2-edge-connected block's parity set, not the graph:
+    a star with 21 rays is a tree and pairs its 22 odd vertices by parity,
+    while a 22-cycle with 11 chords is one block with 22 odd vertices."""
     vertices = [Vertex("junction", ((0, 0),))] + [
         Vertex("end", ((i + 1, 0),)) for i in range(21)]
     edges = [Edge(0, i + 1, ()) for i in range(21)]
-    g = CurveGraph(tuple(vertices), tuple(edges), FOUR)
-    with pytest.raises(OddVerticesError):
-        eulerize(g)
+    star = CurveGraph(tuple(vertices), tuple(edges), FOUR)
+    assert len(star.odd_vertices()) == 22
+    eg = eulerize(star)
+    assert sorted(e.duplicate_of for e in eg.edges[21:]) == list(range(21))
+    assert _duplicated_weight(eg) == 42
+    assert eg.odd_vertices() == []
+
+    vertices = [Vertex("junction", ((i, 0),)) for i in range(22)]
+    edges = [Edge(i, (i + 1) % 22, ()) for i in range(22)]
+    edges += [Edge(i, i + 11, ()) for i in range(11)]  # chords
+    chorded = CurveGraph(tuple(vertices), tuple(edges), FOUR)
+    assert len(chorded.odd_vertices()) == 22
+    with pytest.raises(OddVerticesError, match="22 odd vertices in one 2-edge-connected block"):
+        eulerize(chorded)
+
+
+def _reference_eulerize(g):
+    """eulerize on the reference pairing: each pair's shortest path from its
+    first vertex is duplicated edge by edge from the second vertex back."""
+    odd = g.odd_vertices()
+    searches = {s: _vertex_dijkstra(g, s) for s in odd}
+    new_edges = list(g.edges)
+    for a, b in min_weight_matching_reference(odd, {s: d for s, (d, _) in searches.items()}):
+        cur = b
+        while cur != a:
+            cur, ei = searches[a][1][cur]
+            base = g.edges[ei]
+            new_edges.append(Edge(base.u, base.v, base.pixels, duplicate_of=ei))
+    return CurveGraph(g.vertices, tuple(new_edges), g.adjacency)
+
+
+def _random_multigraphs(seed: int):
+    """Connected multigraphs of 2-14 vertices: a random spanning tree plus
+    parallel edges, self-loops and chords, with weights from a range of one,
+    two or five values, so that ties are common."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(2, 14)
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+        for _ in range(rng.randint(0, n)):
+            kind = rng.random()
+            if kind < 0.3:
+                pairs.append(rng.choice(pairs))
+            elif kind < 0.45:
+                v = rng.randrange(n)
+                pairs.append((v, v))
+            else:
+                pairs.append((rng.randrange(n), rng.randrange(n)))
+        rng.shuffle(pairs)
+        spread = rng.choice([1, 2, 5])
+        yield CurveGraph(tuple(Vertex("junction", ((v, 0),)) for v in range(n)),
+                         tuple(Edge(u, v, ((0, 0),) * rng.randrange(spread)) for u, v in pairs),
+                         FOUR)
+
+
+def test_eulerize_pairs_like_the_reference():
+    """On curve graphs of random images at both adjacencies and on random
+    multigraphs, eulerize duplicates exactly the edges of the reference
+    pairing, in the same order: the same pairs, not only the same weight."""
+    def graphs():
+        multigraphs = _random_multigraphs(seed=17)
+        for img in _random_images(100_000, seed=13):
+            for adjacency in (FOUR, EIGHT):
+                for comp in components(img, adjacency):
+                    if len(comp) > 1:
+                        yield "image", build_curve_graph(BinaryImage(img.width, img.height, comp),
+                                                         adjacency)
+            yield "multigraph", next(multigraphs)
+
+    checked: Counter = Counter()
+    for source, g in graphs():
+        if 4 <= len(g.odd_vertices()) <= 16:
+            assert eulerize(g) == _reference_eulerize(g), g
+            checked[source] += 1
+            if checked.total() == 3000:
+                break
+    assert min(checked.values()) >= 1000, checked
+
+
+def test_eulerize_trees_above_the_cap_by_parity():
+    """A tree with more odd vertices than MAX_ODD duplicates exactly the
+    edges with an odd number of odd vertices on either side, counted by
+    removing each edge in turn."""
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(40, 120)
+        edges = tuple(Edge(rng.randrange(v), v, ((0, 0),) * rng.randrange(4)) for v in range(1, n))
+        g = CurveGraph(tuple(Vertex("junction", ((v, 0),)) for v in range(n)), edges, FOUR)
+        odd = set(g.odd_vertices())
+        assert len(odd) > MAX_ODD
+        want = 0
+        for ei, e in enumerate(edges):
+            side, todo = {e.v}, [e.v]
+            while todo:
+                u = todo.pop()
+                for f in edges:
+                    if f is not e and u in (f.u, f.v):
+                        w = f.v if f.u == u else f.u
+                        if w not in side:
+                            side.add(w)
+                            todo.append(w)
+            want += e.weight * (len(odd & side) % 2)
+        eg = eulerize(g)
+        assert eg.odd_vertices() == []
+        assert _duplicated_weight(eg) == want
 
 
 def test_eulerize_disconnected():
