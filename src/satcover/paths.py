@@ -175,7 +175,7 @@ def path_to_json(path: DigitalPath) -> str:
     doc = {
         "closed": path.closed,
         "adjacency": path.adjacency.value,
-        "points": [[x, y] for x, y in path.points],
+        "points": path.points,  # tuples encode as JSON arrays
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 

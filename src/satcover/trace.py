@@ -4,10 +4,15 @@ Pixels are classified by branching index (foreground neighbours): end
 points (1), regular points (2) and branching points (>= 3); maximal
 connected sets of branching pixels are junctions.  Removing the junctions
 leaves simple open curves, which become the edges of a multigraph on
-end points and junctions.  An Euler tour of that graph (after Chinese
-Postman edge duplication when needed) is flattened back to a pixel path;
-the first time a tour crosses a junction it takes a covering walk over
-every junction pixel, so the output path visits all foreground pixels.
+end points and junctions.  The whole image is read from one neighbour
+table: the chains of every component are walked at once, the pixels no
+walk reaches are lone pixels and pure cycles, and the components are
+those of the graph of junctions and end points joined by chains, so no
+search over the pixels finds them.  An Euler tour of each graph (after
+Chinese Postman edge duplication when needed) is flattened back to a
+pixel path; the first time a tour crosses a junction it takes a covering
+walk over every junction pixel, so the output path visits all foreground
+pixels.
 """
 
 from __future__ import annotations
@@ -176,36 +181,27 @@ def _walk(table: dict[Point, list[Point]], start: Point, junction_of: dict[Point
 _DISCONNECTED = "expected a single connected component"
 
 
-def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
-    """Graph of one connected raster component.
+def _curve_graphs(pixels, adjacency: Adjacency) -> list[CurveGraph]:
+    """The curve graph of every connected component of `pixels`, ordered by
+    smallest pixel, from one neighbour table.
 
     End pixels and junction pixels live on the vertices; edge pixel lists
     hold everything in between, so vertex pixels and edge pixels partition
-    the foreground.  Every edge's pixels touch those of both its vertices,
-    so the graph is connected iff the image is: the single-component check
-    reads the graph instead of searching the pixels again.
-
-    A non-junction pixel has at most two neighbours, so each end of an open
-    chain is a tip (one neighbour) or a port (a junction pixel's
-    non-junction neighbour), and the chains are walked from those ends.  A
-    chain with neither touches nothing else: with no tip and no junction the
-    component is one cycle, walked from its smallest pixel towards that
-    pixel's smaller neighbour.
+    the component.  A non-junction pixel has at most two neighbours, so each
+    end of an open chain is a tip (one neighbour) or a port (a junction
+    pixel's non-junction neighbour), and the chains are walked from those
+    ends.  What no walk reaches touches no tip and no junction: a lone
+    pixel, or a cycle, which starts at its smallest pixel and goes towards
+    that pixel's smaller neighbour.  Every edge's pixels touch those of both
+    its vertices, so the components of the small graph of junctions and
+    tips joined by chains are those of the image, and each keeps the
+    numbering of the whole: junctions by smallest pixel, then tips, then
+    chains by smallest pixel.
     """
-    table = _neighbour_table(img.foreground, adjacency)
-    if len(table) == 1:
-        return CurveGraph((Vertex("end", tuple(table)),), (), adjacency)
-
+    table = _neighbour_table(pixels, adjacency)
     branching, tips = _branching_and_tips(table)
     junctions = _connected_sets(branching, adjacency)
     junction_of = {p: jid for jid, j in enumerate(junctions) for p in j}
-    if not tips and not junctions:
-        cycle = _walk(table, min(table), junction_of) if table else []
-        # the empty image, or a cycle beside other cycles or isolated pixels
-        if not cycle or len(cycle) != len(table):
-            raise TraceError(_DISCONNECTED)
-        return CurveGraph((Vertex("cycle", ()),), (Edge(0, 0, tuple(cycle)),), adjacency)
-
     ports = {q for p in junction_of for q in table[p] if q not in junction_of}
     chains = []
     far_ends: set[Point] = set()
@@ -215,9 +211,6 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
             chain = _walk(table, start, junction_of)
             far_ends.add(chain[-1])
             chains.append(chain)
-    # an isolated pixel or a cycle beside other strokes is on no walk
-    if len(junction_of) + sum(map(len, chains)) != len(table):
-        raise TraceError(_DISCONNECTED)
     chains.sort(key=min)
 
     vertices = [Vertex("junction", tuple(sorted(j))) for j in junctions]
@@ -232,18 +225,60 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
         ids += [junction_of[q] for q in table[p] if q in junction_of]
         return ids
 
-    edges: list[Edge] = []
-    for chain in chains:
-        first, last = chain[0], chain[-1]
-        # end pixels live on their vertices, not in the edge's pixel list
-        start = 1 if first in end_vertex else 0
-        stop = len(chain) - 1 if last in end_vertex else len(chain)
-        edges.append(Edge(attachments(first)[0], attachments(last)[-1], tuple(chain[start:stop])))
+    ends = [(attachments(c[0])[0], attachments(c[-1])[-1]) for c in chains]
+    root = list(range(len(vertices)))  # union-find: a chain joins its two vertices
 
-    graph = CurveGraph(tuple(vertices), tuple(edges), adjacency)
-    if not graph.is_connected():
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for u, v in ends:
+        root[find(u)] = find(v)
+
+    # by component: [smallest pixel, vertices, edges]; each pixel is in a
+    # junction or on a chain, so the smallest is in the first of either
+    parts: dict[int, list] = {}
+    local = []
+    for vid, vert in enumerate(vertices):
+        part = parts.setdefault(find(vid), [vert.pixels[0], [], []])
+        local.append(len(part[1]))
+        part[1].append(vert)
+    for chain, (u, v) in zip(chains, ends):
+        part = parts[find(u)]
+        if not part[2]:
+            part[0] = min(part[0], min(chain))
+        # end pixels live on their vertices, not in the edge's pixel list
+        start = 1 if chain[0] in end_vertex else 0
+        stop = len(chain) - 1 if chain[-1] in end_vertex else len(chain)
+        part[2].append(Edge(local[u], local[v], tuple(chain[start:stop])))
+    found = [(low, CurveGraph(tuple(vs), tuple(es), adjacency)) for low, vs, es in parts.values()]
+
+    # what no walk reached: lone pixels and pure cycles
+    rest = set(table).difference(junction_of, *chains)
+    while rest:
+        p = rest.pop()
+        if not table[p]:
+            found.append((p, CurveGraph((Vertex("end", (p,)),), (), adjacency)))
+            continue
+        cycle = _walk(table, p, junction_of)
+        rest.difference_update(cycle)
+        # from its smallest pixel towards that pixel's smaller neighbour
+        k = cycle.index(min(cycle))
+        cycle = cycle[k:] + cycle[:k]
+        if cycle[1] != table[cycle[0]][0]:
+            cycle[1:] = cycle[:0:-1]
+        found.append((cycle[0], CurveGraph((Vertex("cycle", ()),), (Edge(0, 0, tuple(cycle)),),
+                                           adjacency)))
+    return [g for _, g in sorted(found, key=lambda f: f[0])]
+
+
+def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
+    """Graph of one connected raster component (see `_curve_graphs`)."""
+    graphs = _curve_graphs(img.foreground, adjacency)
+    if len(graphs) != 1:
         raise TraceError(_DISCONNECTED)
-    return graph
+    return graphs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -703,20 +738,15 @@ class ComponentTrace:
     runs: tuple[Run, ...]
 
 
-def trace_component(img: BinaryImage, adjacency: Adjacency) -> ComponentTrace:
-    """Trace one connected component (img must contain exactly one)."""
-    fg = img.foreground
-    if len(fg) == 1:
-        p = next(iter(fg))
-        return ComponentTrace(DigitalPath((p,), closed=False, adjacency=adjacency), None, (), ())
-    g = build_curve_graph(img, adjacency)
+def _trace_graph(g: CurveGraph) -> ComponentTrace:
+    """The trace of one component, from its curve graph."""
     if not g.edges:
-        # every pixel is branching: one junction blob, covered by a tree walk
-        pixels = frozenset(g.vertices[0].pixels)
-        start = min(pixels)
-        walk = _junction_tree_walk(pixels, start, start, adjacency)
-        return ComponentTrace(DigitalPath(tuple(walk), closed=False, adjacency=adjacency),
-                              g, (), ())
+        # a lone pixel, or a blob of branching pixels covered by a tree walk
+        vert = g.vertices[0]
+        start = vert.pixels[0]
+        walk = _junction_tree_walk(frozenset(vert.pixels), start, start, g.adjacency)
+        return ComponentTrace(DigitalPath(tuple(walk), closed=False, adjacency=g.adjacency),
+                              g if vert.kind == "junction" else None, (), ())
     odd = g.odd_vertices()
     if len(odd) == 2:
         tour = euler_open_trail(g)
@@ -728,7 +758,11 @@ def trace_component(img: BinaryImage, adjacency: Adjacency) -> ComponentTrace:
     return ComponentTrace(path, g, tuple(tour), runs)
 
 
+def trace_component(img: BinaryImage, adjacency: Adjacency) -> ComponentTrace:
+    """Trace one connected component (img must contain exactly one)."""
+    return _trace_graph(build_curve_graph(img, adjacency))
+
+
 def trace_image(img: BinaryImage, adjacency: Adjacency) -> list[ComponentTrace]:
     """One path per connected component, components ordered by smallest pixel."""
-    subs = [BinaryImage(img.width, img.height, comp) for comp in components(img, adjacency)]
-    return [trace_component(sub, adjacency) for sub in subs]
+    return [_trace_graph(g) for g in _curve_graphs(img.foreground, adjacency)]

@@ -80,6 +80,8 @@ TRACE_DIGESTS = {
     "rings-3 8": "c0377b59d9c0d024",
     "comb-6 4": "5f3af3ebdf8a1fea",
     "comb-6 8": "85b846a4a70fadf4",
+    "mixed 4": "a565dc0b3817f923",
+    "mixed 8": "51cc4bfa3def6913",
 }
 
 
@@ -158,11 +160,31 @@ def _comb(teeth: int) -> BinaryImage:
     return BinaryImage(3 * teeth, 8, frozenset(pixels))
 
 
+# Lone pixels, pure cycles (a diamond under 8-adjacency, two boxes under
+# 4-adjacency) beside a comb, strokes and a solid blob in one raster.
+MIXED = """
+#.....###.....#.........#.....#
+.....#.#.#...#.#..............#
+......###...#...#..####.......#
+#......#.....#.#...####..######
+..............#....####........
+...............................
+########.....####..........##..
+.#...#.......#..#............#.
+.#...#..#....####......#.....#.
+.#...#.....................#...
+.#.......#......###............
+................#.#............
+................###.....#......
+"""
+
+
 def rasters() -> dict:
     out = {name: image_from_ascii(art) for name, art in ALL_FIXTURES.items()}
     out["solid-9x4"] = _solid(9, 4)
     out["rings-3"] = _ring(7, 3)
     out["comb-6"] = _comb(6)
+    out["mixed"] = image_from_ascii(MIXED)
     return out
 
 

@@ -177,7 +177,7 @@ def _outcome(build, img, adjacency):
     try:
         return build(img, adjacency)
     except Exception as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
@@ -191,7 +191,8 @@ def test_curve_graph_matches_reference(adjacency):
     for img in images:
         assert find_junctions(img, adjacency) == find_junctions_reference(img, adjacency)
         comps = components(img, adjacency)
-        refused = _outcome(build_curve_graph, img, adjacency) is TraceError
+        refused = (_outcome(build_curve_graph, img, adjacency)
+                   == (TraceError, "expected a single connected component"))
         assert refused == (len(comps) != 1)
         rejected += refused
         for comp in comps:
@@ -491,6 +492,71 @@ def test_trace_image_components_and_isolated():
 
     blank = BinaryImage(4, 4, frozenset())
     assert trace_image(blank, FOUR) == []
+
+
+_PLANTS = (
+    ((0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2), (2, 2)),  # cycle under FOUR
+    ((1, 0), (0, 1), (2, 1), (1, 2)),  # cycle under EIGHT
+    ((0, 0), (1, 0), (0, 1), (1, 1)),  # cycle under FOUR, branching blob under EIGHT
+    ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)),  # solid blob
+)
+
+
+def _mixed_images(count: int, seed: int):
+    """Sparse seeded noise, which leaves lone pixels and short strokes, with
+    up to three cycles or solid blobs planted at random places."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        w, h = rng.randint(4, 14), rng.randint(4, 14)
+        density = rng.uniform(0.05, 0.45)
+        fg = {(x, y) for y in range(h) for x in range(w) if rng.random() < density}
+        for _ in range(rng.randint(0, 3)):
+            ox, oy = rng.randrange(w - 2), rng.randrange(h - 2)
+            for dx in range(-1, 4):  # clear a margin, then plant
+                for dy in range(-1, 4):
+                    fg.discard((ox + dx, oy + dy))
+            fg.update((ox + dx, oy + dy) for dx, dy in rng.choice(_PLANTS))
+        yield BinaryImage(w, h, frozenset(fg))
+
+
+def _per_component(img, adjacency):
+    return [trace_component(BinaryImage(img.width, img.height, comp), adjacency)
+            for comp in components(img, adjacency)]
+
+
+def _kind(tr) -> str:
+    if tr.graph is None:
+        return "lone"
+    if not tr.tour:
+        return "blob"
+    return "cycle" if tr.graph.vertices[0].kind == "cycle" else "stroke"
+
+
+@pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
+def test_trace_image_equals_per_component_traces(adjacency):
+    """Tracing the whole image from one neighbour table gives, component by
+    component, the trace of that component alone (path, graph, tour and
+    runs, or the same refusal), and each trace covers exactly the pixels of
+    its component.  The images hold lone pixels, pure cycles beside strokes
+    and blobs of branching pixels."""
+    images = list(_mixed_images(2400, seed=29)) + [fixture_image(n) for n in sorted(ALL_FIXTURES)]
+    seen: Counter = Counter()
+    for img in images:
+        comps = components(img, adjacency)
+        whole = _outcome(trace_image, img, adjacency)
+        assert whole == _outcome(_per_component, img, adjacency), img
+        if not isinstance(whole, list):  # both routes refused alike
+            continue
+        assert [frozenset(tr.path.points) for tr in whole] == comps, img
+        kinds = {_kind(tr) for tr in whole}
+        seen["multi-component"] += len(comps) > 1
+        seen.update(kinds & {"lone", "blob"})
+        seen["cycle beside a stroke"] += {"cycle", "stroke"} <= kinds
+    # under 4-adjacency the top left pixel of a component has at most two
+    # neighbours, so no component is a blob of branching pixels
+    wanted = ("lone", "cycle beside a stroke") + (("blob",) if adjacency is EIGHT else ())
+    assert seen["multi-component"] >= 2000, seen
+    assert min(seen[k] for k in wanted) >= 100, seen
 
 
 _SIDE = 4
