@@ -58,14 +58,6 @@ def is_adjacent(p: Point, q: Point, adjacency: Adjacency) -> bool:
     return (q[0] - p[0], q[1] - p[1]) in UNIT_STEPS[adjacency]
 
 
-def neighbours(p: Point, adjacency: Adjacency) -> tuple[Point, ...]:
-    """The neighbourhood of p, in sorted order."""
-    if adjacency is Adjacency.INDEX:
-        raise ValueError("INDEX adjacency has no finite neighbourhood")
-    x, y = p
-    return tuple((x + dx, y + dy) for dx, dy in NEIGHBOUR_OFFSETS[adjacency])
-
-
 @dataclass(frozen=True)
 class DigitalPath:
     """An ordered list of grid points with an adjacency discipline.

@@ -146,9 +146,6 @@ class CurveGraph:
     def odd_vertices(self) -> list[int]:
         return [v for v, d in enumerate(self.degrees()) if d % 2 == 1]
 
-    def is_connected(self) -> bool:
-        return len(self.vertices) <= 1 or None not in _vertex_dijkstra(self, 0)[0]
-
     def to_json_dict(self) -> dict:
         return {
             "vertices": [
@@ -317,11 +314,6 @@ def _dijkstra(adj: list[list[tuple[int, int, int]]], source: int):
     return dist, pred
 
 
-def _vertex_dijkstra(g: CurveGraph, source: int):
-    """Shortest paths over the multigraph; returns (dist, predecessor edge)."""
-    return _dijkstra(_adjacency(g), source)
-
-
 def _bridges(adj: list[list[tuple[int, int, int]]]) -> set[int]:
     """Edge ids of the bridges of a connected multigraph, by an iterative
     lowlink search from vertex 0.  The search skips only the edge it arrived
@@ -358,9 +350,10 @@ def _blocks(adj: list[list[tuple[int, int, int]]], bridges: set[int]):
     """The 2-edge-connected blocks, by one search from vertex 0 that opens a
     new block on each bridge it crosses: a block hangs off the rest only by
     the bridge above it, so the search enters it there.  Returns each
-    vertex's block, each block's vertices and, for every block but block 0,
-    the bridge above it as (edge id, its end in the block, its other end).
-    A block is numbered after its parent."""
+    vertex's block (-1 where the search does not reach), each block's
+    vertices and, for every block but block 0, the bridge above it as
+    (edge id, its end in the block, its other end).  A block is numbered
+    after its parent."""
     block = [-1] * len(adj)
     block[0] = 0
     members = [[0]]
@@ -384,7 +377,8 @@ def _blocks(adj: list[list[tuple[int, int, int]]], bridges: set[int]):
 MAX_ODD = 20  # cap on one block's parity set, for the exact bitmask matching
 
 
-def _postman_edges(g: CurveGraph, odd: list[int]) -> list[int]:
+def _postman_edges(g: CurveGraph, adj: list[list[tuple[int, int, int]]],
+                   odd: list[int]) -> list[int]:
     """The edge ids to duplicate, pair by pair.  The odd vertices are paired
     by the lexicographically first minimum-weight pairing: the lowest
     unpaired vertex a takes the smallest partner c with which the rest can
@@ -406,7 +400,6 @@ def _postman_edges(g: CurveGraph, odd: list[int]) -> list[int]:
     iff every bridge on the way is duplicated and each block's DP drops by
     exactly d(x, y).  A tree's blocks are single vertices, so a tree pairs
     by parity alone and needs no search."""
-    adj = _adjacency(g)
     bridges = _bridges(adj)
     block, members, up = _blocks(adj, bridges)
     bit = [0] * len(adj)  # a vertex's bit in its block's masks
@@ -523,14 +516,16 @@ def eulerize(g: CurveGraph) -> CurveGraph:
     vertex ends up with even degree.  The copies mark back-and-forth use.
     Bridges are duplicated by parity and only the 2-edge-connected blocks
     are matched exactly, so a tree of any size eulerizes; a block whose
-    parity set exceeds MAX_ODD raises OddVerticesError."""
-    if not g.is_connected():
+    parity set exceeds MAX_ODD raises OddVerticesError, and a disconnected
+    graph (one search from vertex 0 leaves a vertex unreached) TraceError."""
+    adj = _adjacency(g)
+    if adj and -1 in _blocks(adj, set())[0]:
         raise TraceError("cannot eulerize a disconnected graph")
     odd = g.odd_vertices()
     if not odd:
         return g
     new_edges = list(g.edges)
-    for ei in _postman_edges(g, odd):
+    for ei in _postman_edges(g, adj, odd):
         base = g.edges[ei]
         new_edges.append(Edge(base.u, base.v, base.pixels, duplicate_of=ei))
     return CurveGraph(g.vertices, tuple(new_edges), g.adjacency)
@@ -540,35 +535,30 @@ Traversal = tuple[int, int, int]  # (edge id, from vertex, to vertex)
 
 
 def _hierholzer(g: CurveGraph, start: int) -> list[Traversal]:
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(len(g.vertices))}
-    for ei, e in enumerate(g.edges):
-        adj[e.u].append((ei, e.v))
-        if e.v != e.u:
-            adj[e.v].append((ei, e.u))
-        else:
-            adj[e.u].append((ei, e.u))  # self-loop occupies two slots
+    """Hierholzer's walk from start, taking each vertex's edges in the slot
+    order of `_adjacency`.  The graph is disconnected when, with two or more
+    vertices, one has no edge, or when the walk misses an edge."""
+    adj = _adjacency(g)
+    if len(adj) > 1 and not all(adj):
+        raise TraceError("graph is disconnected")
     used = [False] * len(g.edges)
-    ptr = {v: 0 for v in adj}
+    todo = [iter(slots) for slots in adj]  # each vertex's slots not yet passed
     stack: list[tuple[int, Optional[int], Optional[int]]] = [(start, None, None)]
     out: list[Traversal] = []
     while stack:
         v, eid, frm = stack[-1]
-        lst = adj[v]
-        i = ptr[v]
-        while i < len(lst) and used[lst[i][0]]:
-            i += 1
-        ptr[v] = i
-        if i < len(lst):
-            nei, nv = lst[i]
-            used[nei] = True
-            stack.append((nv, nei, v))
+        for _, nv, nei in todo[v]:
+            if not used[nei]:
+                used[nei] = True
+                stack.append((nv, nei, v))
+                break
         else:
             stack.pop()
             if eid is not None:
                 out.append((eid, frm, v))
     out.reverse()
     if len(out) != len(g.edges):
-        raise TraceError("no Euler route: graph is disconnected")
+        raise TraceError("graph is disconnected")
     return out
 
 
@@ -577,10 +567,10 @@ def euler_tour(g: CurveGraph, start: int = 0) -> list[Traversal]:
     odd = g.odd_vertices()
     if odd:
         raise TraceError(f"graph has odd-degree vertices {odd}; eulerize first")
-    if not g.is_connected():
-        raise TraceError("graph is disconnected")
-    if not g.edges:
+    if not g.vertices:
         return []
+    if start not in range(len(g.vertices)):
+        raise TraceError(f"start {start} is not a vertex of the graph")
     return _hierholzer(g, start)
 
 
@@ -589,8 +579,6 @@ def euler_open_trail(g: CurveGraph) -> list[Traversal]:
     odd = g.odd_vertices()
     if len(odd) != 2:
         raise TraceError(f"an open trail needs exactly 2 odd vertices, found {len(odd)}")
-    if not g.is_connected():
-        raise TraceError("graph is disconnected")
     return _hierholzer(g, min(odd))
 
 

@@ -53,6 +53,7 @@ import numpy as np
 from satcover.arcs import ArcGraph
 from satcover.cover import SaturatedCover
 from satcover.paths import (
+    NEIGHBOUR_OFFSETS,
     Adjacency,
     DigitalPath,
     IndexInterval,
@@ -60,7 +61,6 @@ from satcover.paths import (
     ValidationReport,
     interval_contains,
     is_adjacent,
-    neighbours,
 )
 from satcover.pbm import BinaryImage, PbmError
 from satcover.predicates import DssRecognizer, PredicateSpec, make_recognizer
@@ -160,6 +160,14 @@ def literal_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
             iv for iv in true_ivs
             if not any(o != iv and interval_contains(n1, closed, o, iv) for o in true_ivs)))
     return SaturatedCover(n1, closed, spec, segments, rec.calls)
+
+
+def neighbours(p: Point, adjacency: Adjacency) -> tuple[Point, ...]:
+    """The neighbourhood of p, in sorted order."""
+    if adjacency is Adjacency.INDEX:
+        raise ValueError("INDEX adjacency has no finite neighbourhood")
+    x, y = p
+    return tuple((x + dx, y + dy) for dx, dy in NEIGHBOUR_OFFSETS[adjacency])
 
 
 def branching_index(img: BinaryImage, p: Point, adjacency: Adjacency) -> int:

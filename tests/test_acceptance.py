@@ -15,7 +15,7 @@ from satcover.arcs import build_arc_graph
 from satcover.cover import brute_force_cover, forward_cover, saturated_cover
 from satcover.paths import Adjacency, IndexInterval, middle_index, validate_path
 from satcover.predicates import DssRecognizer, PredicateSpec, check_conservative
-from satcover.trace import _vertex_dijkstra, build_curve_graph, eulerize, trace_image
+from satcover.trace import _adjacency, _dijkstra, build_curve_graph, eulerize, trace_image
 from satcover.verify import GRID_PREDICATES, iter_corpus
 
 CORPUS_SEED = 2024
@@ -177,7 +177,7 @@ def test_acceptance_7_chinese_postman_optimality():
         checked += 1
         eg = eulerize(g)
         dup = sum(e.weight for e in eg.edges if e.duplicate_of is not None)
-        dist = {s: _vertex_dijkstra(g, s)[0] for s in odd}
+        dist = {s: _dijkstra(_adjacency(g), s)[0] for s in odd}
         want = min_matching_weight(odd, dist)
         if dup != want:
             bad.append((name, dup, want))

@@ -22,7 +22,8 @@ from satcover.trace import (
     OddVerticesError,
     TraceError,
     Vertex,
-    _vertex_dijkstra,
+    _adjacency,
+    _dijkstra,
     build_curve_graph,
     components,
     emit_path,
@@ -173,9 +174,9 @@ def _random_images(count: int, seed: int):
             (x, y) for y in range(h) for x in range(w) if rng.random() < density))
 
 
-def _outcome(build, img, adjacency):
+def _outcome(run, *args):
     try:
-        return build(img, adjacency)
+        return run(*args)
     except Exception as exc:
         return type(exc), str(exc)
 
@@ -227,7 +228,7 @@ def _duplicated_weight(g):
 
 def _matching_lower_bound(g):
     odd = g.odd_vertices()
-    dist = {s: _vertex_dijkstra(g, s)[0] for s in odd}
+    dist = {s: _dijkstra(_adjacency(g), s)[0] for s in odd}
     return min_matching_weight(odd, dist)
 
 
@@ -284,7 +285,7 @@ def _reference_eulerize(g):
     """eulerize on the reference pairing: each pair's shortest path from its
     first vertex is duplicated edge by edge from the second vertex back."""
     odd = g.odd_vertices()
-    searches = {s: _vertex_dijkstra(g, s) for s in odd}
+    searches = {s: _dijkstra(_adjacency(g), s) for s in odd}
     new_edges = list(g.edges)
     for a, b in min_weight_matching_reference(odd, {s: d for s, (d, _) in searches.items()}):
         cur = b
@@ -371,29 +372,73 @@ def test_eulerize_trees_above_the_cap_by_parity():
         assert _duplicated_weight(eg) == want
 
 
-def test_eulerize_disconnected():
-    vertices = (Vertex("end", ((0, 0),)), Vertex("end", ((5, 5),)))
-    g = CurveGraph(vertices, (), FOUR)
-    with pytest.raises(TraceError):
-        eulerize(g)
+def _multigraph(n, pairs):
+    """n vertices joined by pixel-free edges, one per (u, v) pair."""
+    return CurveGraph(tuple(Vertex("junction", ((v, 0),)) for v in range(n)),
+                      tuple(Edge(u, v, ()) for u, v in pairs), FOUR)
+
+
+_CANNOT = (TraceError, "cannot eulerize a disconnected graph")
+_APART = (TraceError, "graph is disconnected")
+
+
+def _trail_needs(k):
+    return TraceError, f"an open trail needs exactly 2 odd vertices, found {k}"
+
+
+def _odd_first(odd):
+    return TraceError, f"graph has odd-degree vertices {odd}; eulerize first"
+
+
+@pytest.mark.parametrize("n, pairs, want", [
+    (2, [(1, 1)], (_CANNOT, _APART, _trail_needs(0))),
+    (2, [], (_CANNOT, _APART, _trail_needs(0))),
+    (2, [(0, 0), (1, 1)], (_CANNOT, _APART, _trail_needs(0))),
+    (4, [(0, 1), (2, 3)], (_CANNOT, _odd_first([0, 1, 2, 3]), _trail_needs(4))),
+    (3, [(0, 1), (2, 2)], (_CANNOT, _odd_first([0, 1]), _APART)),
+    (3, [(0, 1)], (_CANNOT, _odd_first([0, 1]), _APART)),
+    (0, [], (_multigraph(0, []), [], _trail_needs(0))),
+], ids=["isolated-vertex-and-self-loop", "two-lone-vertices", "two-self-loops",
+        "two-segments", "segment-and-self-loop", "segment-and-isolated-vertex", "empty"])
+def test_euler_stage_refusals(n, pairs, want):
+    """eulerize, euler_tour and euler_open_trail refuse a disconnected graph
+    with these exact exception types and texts; the empty graph is its own
+    eulerization and has the empty tour."""
+    g = _multigraph(n, pairs)
+    assert [_outcome(run, g) for run in (eulerize, euler_tour, euler_open_trail)] == list(want)
+
+
+def test_euler_tour_start_out_of_range():
+    g = _multigraph(3, [(0, 1), (1, 2), (2, 0)])
+    for start in (-1, 3):
+        with pytest.raises(TraceError, match=f"start {start} is not a vertex"):
+            euler_tour(g, start)
 
 
 def test_euler_tour_cycle():
     # triangle as an abstract multigraph
-    vs = tuple(Vertex("junction", ((i, i),)) for i in range(3))
-    es = (Edge(0, 1, ()), Edge(1, 2, ()), Edge(2, 0, ()))
-    g = CurveGraph(vs, es, FOUR)
-    tour = euler_tour(g, 0)
-    assert len(tour) == 3
-    assert sorted(t[0] for t in tour) == [0, 1, 2]
-    assert tour[0][1] == 0 and tour[-1][2] == 0
+    g = _multigraph(3, [(0, 1), (1, 2), (2, 0)])
+    assert euler_tour(g, 0) == [(0, 0, 1), (1, 1, 2), (2, 2, 0)]
 
 
 def test_euler_tour_figure_eight():
     g = build_curve_graph(fixture_image("figure_eight"), FOUR)
-    tour = euler_tour(g, 0)
-    assert len(tour) == 2
-    assert sorted(t[0] for t in tour) == [0, 1]
+    assert [(e.u, e.v) for e in g.edges] == [(0, 0), (0, 0)]
+    assert euler_tour(g, 0) == [(0, 0, 0), (1, 0, 0)]
+
+
+def test_euler_routes_on_a_multigraph():
+    """Parallel edges and self-loops: each vertex offers its edges in edge-id
+    order, a self-loop twice, so the tours and the trail are these exactly."""
+    pairs = [(0, 1), (1, 2), (1, 1), (0, 1), (2, 1), (2, 2)]
+    g = _multigraph(3, pairs)
+    assert [euler_tour(g, s) for s in range(3)] == [
+        [(0, 0, 1), (1, 1, 2), (5, 2, 2), (4, 2, 1), (2, 1, 1), (3, 1, 0)],
+        [(0, 1, 0), (3, 0, 1), (1, 1, 2), (5, 2, 2), (4, 2, 1), (2, 1, 1)],
+        [(1, 2, 1), (0, 1, 0), (3, 0, 1), (2, 1, 1), (4, 1, 2), (5, 2, 2)],
+    ]
+    assert euler_open_trail(_multigraph(3, pairs + [(0, 2)])) == [
+        (0, 0, 1), (1, 1, 2), (4, 2, 1), (2, 1, 1), (3, 1, 0), (6, 0, 2), (5, 2, 2)]
 
 
 def test_euler_tour_requires_even_degrees():
