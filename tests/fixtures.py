@@ -1,6 +1,12 @@
-"""Raster fixtures shared by the trace tests and the acceptance suite."""
+"""Raster fixtures shared by the trace tests and the acceptance suite, and
+the predicate specs shared by the cover and arc-graph tests."""
 
 from satcover.pbm import image_from_ascii
+from satcover.predicates import PredicateSpec
+from satcover.verify import GRID_PREDICATES
+
+# every grid predicate, and a non-square box
+GRID_SPECS = GRID_PREDICATES + (PredicateSpec("y_monotone"), PredicateSpec("bbox", {"w": 5, "h": 2}))
 
 SEGMENT = "#####"
 

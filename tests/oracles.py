@@ -31,9 +31,10 @@ the same report.
 
 `arc_graph_reference` is the arc-graph builder that tests every pair of
 arcs; the sorted-start builder must return the same nodes, edges and
-`proper` flag.  `literal_cover` is the saturated cover by its definition
-verbatim: every interval is evaluated and true intervals contained in
-other true intervals are dropped.
+`proper` flag on every start-sorted family, proper or not.
+`literal_cover` is the saturated cover by its definition verbatim: every
+interval is evaluated and true intervals contained in other true
+intervals are dropped.
 
 `min_weight_matching_reference` is the bitmask matching over all odd
 vertices that `satcover.trace.eulerize` used before it split the problem
@@ -111,9 +112,10 @@ def intervals_intersect(n_points: int, closed: bool, a: IndexInterval, b: IndexI
 
 
 def arc_graph_reference(intervals, n_points: int, closed: bool) -> ArcGraph:
-    """The all-pairs arc-graph builder that `satcover.arcs.arc_graph_from_intervals`
-    replaced: an edge for every pair of arcs sharing an index, and `proper`
-    False when either arc of some pair contains the other."""
+    """The arc graph by every pair of arcs, in any order: an edge for every
+    pair sharing an index, and `proper` False when either arc of some pair
+    contains the other.  `satcover.arcs.build_arc_graph` must return the
+    same graph for every cover whose segments are sorted by start."""
     nodes = tuple(IndexInterval(*iv) for iv in intervals)
     edges = []
     proper = True

@@ -1,13 +1,16 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
+from fixtures import GRID_SPECS
 from oracles import arc_graph_reference, intervals_intersect
 from satcover import synth
-from satcover.arcs import arc_graph_from_intervals, build_arc_graph
-from satcover.cover import saturated_cover
+from satcover.arcs import build_arc_graph
+from satcover.cover import SaturatedCover, saturated_cover
 from satcover.paths import Adjacency, DigitalPath, IndexInterval, interval_contains
 from satcover.predicates import PredicateSpec
+from satcover.verify import applicable, iter_corpus
 
 
 def test_sliding_windows_overlap_graph():
@@ -34,10 +37,22 @@ def test_single_segment_graph():
     assert graph.proper
 
 
+def hand_cover(family, n_points: int, closed: bool) -> SaturatedCover:
+    """A cover of the given (start, length) pairs, in the given order."""
+    segments = tuple(IndexInterval(*iv) for iv in family)
+    return SaturatedCover(n_points, closed, PredicateSpec("max_len", {"k": 1}), segments, 0)
+
+
 def test_nested_intervals_flagged_improper():
-    graph = arc_graph_from_intervals([(0, 5), (1, 3)], n_points=10, closed=False)
+    graph = build_arc_graph(hand_cover([(0, 5), (1, 3)], n_points=10, closed=False))
     assert not graph.proper
-    assert (0, 1) in graph.edges
+    assert graph.edges == ((0, 1),)
+
+
+def test_unsorted_cover_refused():
+    with pytest.raises(ValueError) as err:
+        build_arc_graph(hand_cover([(1, 3), (0, 5)], n_points=10, closed=False))
+    assert str(err.value) == "cover segments are not sorted by start"
 
 
 def test_closed_cover_graph_is_not_interval():
@@ -95,8 +110,8 @@ def test_matches_all_pairs_reference():
     for trial in range(20_000):
         n = rng.choice((1, 2, 3, rng.randint(4, 12), rng.randint(13, 60)))
         closed = rng.random() < 0.5
-        family = _random_family(rng, n, closed)
-        got = arc_graph_from_intervals(family, n, closed)
+        family = sorted(_random_family(rng, n, closed))
+        got = build_arc_graph(hand_cover(family, n, closed))
         assert got == arc_graph_reference(family, n, closed), (trial, n, closed, family)
 
 
@@ -116,3 +131,42 @@ def test_graph_json_and_dot():
     assert doc["edges"] == [[0, 1], [0, 2], [1, 2]]
     dot = graph.to_dot()
     assert "n0 -- n1;" in dot and dot.startswith("graph cover {")
+
+
+def test_real_covers_match_all_pairs_reference():
+    """Covers are proper, unlike most random families, so they reach the
+    branches the random families rarely do: strictly increasing starts and
+    ends, and arcs wrapping past index 0 onto the starts of the first arcs."""
+    wrapped = 0
+    for path in iter_corpus(seed=15, count=350, max_points=80, with_index=True):
+        for spec in GRID_SPECS:
+            if not applicable(spec, path):
+                continue
+            cover = saturated_cover(path, spec)
+            graph = build_arc_graph(cover)
+            assert graph == arc_graph_reference(cover.segments, cover.n_points, cover.closed), (
+                spec, path.points)
+            ends = [s + k - 1 for s, k in cover.segments]
+            wrapped += any(cover.segments[u].start > ends[v] for v, u in graph.edges)
+    assert wrapped >= 200, wrapped
+
+
+@pytest.mark.parametrize("spec", [PredicateSpec("max_len", {"k": 8}), PredicateSpec("bbox", {"w": 5, "h": 5})],
+                         ids=["max_len-k8", "bbox-w5-h5"])
+def test_rotated_circle_graph_maps_back(spec):
+    """Rotating a closed path rotates its cover; mapped back through the
+    rotation, the rotated cover's arc graph has the same edges, at a size
+    the all-pairs reference cannot reach."""
+    path = synth.circle_path_of_size(20_000)
+    n1 = path.n_points
+    graph = build_arc_graph(saturated_cover(path, spec))
+    index = {iv: i for i, iv in enumerate(graph.nodes)}
+    edges = set(graph.edges)
+    for offset in (1, n1 // 3, n1 - 7):
+        rotated = DigitalPath(path.points[offset:] + path.points[:offset], closed=True,
+                              adjacency=path.adjacency)
+        turned = build_arc_graph(saturated_cover(rotated, spec))
+        back = [index[(s + offset) % n1, k] for s, k in turned.nodes]
+        assert len(turned.edges) == len(edges)
+        assert {(min(back[u], back[v]), max(back[u], back[v])) for u, v in turned.edges} == edges
+        assert turned.proper

@@ -5,8 +5,10 @@ from collections import Counter
 
 import pytest
 
+from fixtures import GRID_SPECS
 from oracles import literal_cover
 from satcover import synth
+from satcover.arcs import build_arc_graph
 from satcover.cover import (
     CoverCapError,
     SaturatedCover,
@@ -69,10 +71,6 @@ register_predicate(PredicateInfo(
 
 def segs(cover):
     return [(s.start, s.length) for s in cover.segments]
-
-
-# every grid predicate, and a non-square box
-_GRID_SPECS = GRID_PREDICATES + (PredicateSpec("y_monotone"), PredicateSpec("bbox", {"w": 5, "h": 2}))
 
 
 def test_max_len_windows_on_open_run():
@@ -292,6 +290,22 @@ def test_profile_events_of_a_100_tooth_comb():
     assert set(trace.path.points) == img.foreground
 
 
+@pytest.mark.parametrize("spec", [PredicateSpec("max_len", {"k": 8}), PredicateSpec("bbox", {"w": 5, "h": 5})],
+                         ids=["max_len-k8", "bbox-w5-h5"])
+def test_profile_events_per_node_of_the_arc_graph(spec):
+    """A timing-free guard on the arc graph's per-node constant: one
+    bisection per arc and list comprehensions, with no call per edge.  An
+    `IndexInterval` and a sort key per arc, and a containment test, a set
+    insertion and a `min` and `max` per edge, made 10.0 calls and 24.0 C
+    calls per node on `max_len` (7 edges per node) and 7.0 and 15.0 on `bbox`
+    (4); the bisection over start-sorted arcs reads 0.0 and 1.0 on both."""
+    cover = saturated_cover(synth.circle_path_of_size(10_000), spec)
+    events = profile_events(build_arc_graph, cover)
+    nodes = len(cover.segments)
+    assert events["call"] <= 1.0 * nodes, events["call"] / nodes
+    assert events["c_call"] <= 2.0 * nodes, events["c_call"] / nodes
+
+
 @pytest.mark.parametrize("path", [
     synth.circle_path_of_size(20_000),
     synth.random_walk_path(20_000, Adjacency.EIGHT, seed=41),
@@ -375,7 +389,7 @@ def test_dss_sweep_equals_brute_force_at_2k(path):
 ], ids=["open-4-walk", "open-8-walk", "open-index-walk", "closed-4-walk", "closed-8-walk"])
 def test_sweep_equals_brute_force_at_2k_for_every_other_predicate(path):
     assert 2_000 <= path.n_points <= 2_500, path.n_points
-    for spec in _GRID_SPECS:
+    for spec in GRID_SPECS:
         if spec.name != "dss" and applicable(spec, path):
             assert segs(saturated_cover(path, spec)) == segs(
                 brute_force_cover(path, spec, max_points=2_500)), spec
@@ -390,7 +404,7 @@ def test_every_cover_rotates_with_a_closed_walk(path):
     assert 2_000 <= n1 <= 3_000, n1
     rng = random.Random(n1)
     turns = [1, n1 - 1] + rng.sample(range(2, n1 - 1), 8)
-    for spec in _GRID_SPECS:
+    for spec in GRID_SPECS:
         base = segs(saturated_cover(path, spec))
         for k in turns:
             turned = DigitalPath(path.points[k:] + path.points[:k], closed=True,
@@ -422,7 +436,7 @@ def test_covers_mirror_under_reversal_and_keep_under_translation():
                                     adjacency=path.adjacency)
         moved = DigitalPath(tuple((x + 13, y - 7) for x, y in path.points),
                             closed=path.closed, adjacency=path.adjacency)
-        for spec in _GRID_SPECS:
+        for spec in GRID_SPECS:
             if not applicable(spec, path):
                 continue
             cov = saturated_cover(path, spec)
