@@ -41,7 +41,7 @@ class ArcGraph:
     def to_json_dict(self) -> dict:
         return {
             "nodes": [{"start": iv.start, "len": iv.length} for iv in self.nodes],
-            "edges": [[u, v] for u, v in self.edges],
+            "edges": self.edges,  # json.dumps writes tuples as lists
             "proper": self.proper,
             "interval": self.interval,
         }

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
-from .paths import DigitalPath, IndexInterval, interval_contains
+from .paths import DigitalPath, IndexInterval
 from .predicates import PredicateSpec, Recognizer, make_recognizer
 
 
@@ -64,7 +65,8 @@ class SaturatedCover:
 
 
 def _finish(path, spec, keys, *recs: Recognizer) -> SaturatedCover:
-    segments = tuple(IndexInterval(s, l) for s, l in sorted(keys))
+    # tuple.__new__ makes each IndexInterval in C, with no Python frame
+    segments = tuple(map(tuple.__new__, repeat(IndexInterval), sorted(keys)))
     calls = sum(rec.calls for rec in recs)
     return SaturatedCover(path.n_points, path.closed, spec, segments, calls)
 
@@ -166,11 +168,14 @@ def _sweep(path: DigitalPath, spec: PredicateSpec, two_sided: bool) -> Saturated
         pos_ok, neg_ok = True, two_sided and i > q
 
     if closed:
-        # a forward-grown first segment may not be saturated on its negative side
-        first_key = next(iter(keys))
-        first = IndexInterval(*first_key)
-        if any(k != first_key and interval_contains(n1, True, IndexInterval(*k), first) for k in keys):
-            del keys[first_key]
+        # a forward-grown first segment may not be saturated on its negative
+        # side: drop it if another segment's arc contains its arc (no segment
+        # here is the whole circle, which returned above)
+        first = start0, len0 = next(iter(keys))
+        for start, size in keys:
+            if len0 <= size and (start, size) != first and (start0 - start) % n1 + len0 <= size:
+                del keys[first]
+                break
     return _finish(path, spec, keys, rec, probe)
 
 

@@ -36,13 +36,18 @@ class BinaryImage:
 _TOKEN = re.compile(rb"(?:\s|#[^\n\r]*(?:[\n\r]|\Z))*([^\s#]+)")
 _COMMENT = re.compile(rb"#[^\n\r]*")
 _WHITESPACE = b" \t\n\r\x0b\x0c"  # what bytes.isspace() and rb"\s" accept
+_NONZERO = bytes([0] + [1] * 255)  # translates every non-zero byte to 1
+# the x of each 1-bit of a P4 byte, most significant bit first: the bytes
+# below 0x80 >> b followed by each of them with that bit set
+_BIT_XS = [()]
+for _b in range(7, -1, -1):
+    _BIT_XS += [(_b,) + xs for xs in _BIT_XS]
 
 
-def _ones(bits: str, stride: int, width: int) -> set[Point]:
-    """Foreground of a row-major string of '0'/'1' with `stride` cells per
-    row; the cells at x >= width are row padding and are skipped."""
+def _ones(bits: str, width: int) -> set[Point]:
+    """Foreground of a row-major string of '0'/'1' with `width` cells per row."""
     fg = set()
-    for y, start in enumerate(range(0, len(bits), stride)):
+    for y, start in enumerate(range(0, len(bits), width)):
         end = start + width
         x = bits.find("1", start, end)
         while x >= 0:
@@ -85,7 +90,7 @@ def load_pbm(data: bytes) -> BinaryImage:
             raise PbmError("P1 pixels must be 0 or 1")
         if len(body) != width * height:
             raise PbmError(f"expected {width * height} pixels, got {len(body)}")
-        fg = _ones(body.decode("ascii"), width, width)
+        fg = _ones(body.decode("ascii"), width)
     else:
         # raw rows start after the single whitespace byte ending the header
         if start >= len(data) or not data[start:start + 1].isspace():
@@ -96,7 +101,18 @@ def load_pbm(data: bytes) -> BinaryImage:
         raw = data[start:start + need]
         if len(raw) < need:
             raise PbmError(f"truncated raster: need {need} bytes, have {len(raw)}")
-        fg = _ones(format(int.from_bytes(raw, "big"), f"0{8 * need}b"), 8 * row_bytes, width)
+        # only the non-zero bytes hold pixels, found by memchr on a 0/1 copy;
+        # the bits at x >= width are row padding
+        fg = []
+        find = raw.translate(_NONZERO).find
+        pos = find(1)
+        while pos >= 0:
+            y, x = divmod(pos, row_bytes)
+            x *= 8
+            for b in _BIT_XS[raw[pos]]:
+                if x + b < width:
+                    fg.append((x + b, y))
+            pos = find(1, pos + 1)
     return BinaryImage(width, height, frozenset(fg))
 
 

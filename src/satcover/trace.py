@@ -5,14 +5,14 @@ points (1), regular points (2) and branching points (>= 3); maximal
 connected sets of branching pixels are junctions.  Removing the junctions
 leaves simple open curves, which become the edges of a multigraph on
 end points and junctions.  The whole image is read from one neighbour
-table: the chains of every component are walked at once, the pixels no
-walk reaches are lone pixels and pure cycles, and the components are
-those of the graph of junctions and end points joined by chains, so no
-search over the pixels finds them.  An Euler tour of each graph (after
-Chinese Postman edge duplication when needed) is flattened back to a
-pixel path; the first time a tour crosses a junction it takes a covering
-walk over every junction pixel, so the output path visits all foreground
-pixels.
+code byte per integer pixel id: the chains of every component are walked
+at once, the pixels no walk reaches are lone pixels and pure cycles, and
+the components are those of the graph of junctions and end points joined
+by chains, so no search over the pixels finds them.  An Euler tour of
+each graph (after Chinese Postman edge duplication when needed) is
+flattened back to a pixel path; the first time a tour crosses a junction
+it takes a covering walk over every junction pixel, so the output path
+visits all foreground pixels.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+from operator import itemgetter
 from typing import Optional
 
 from .paths import NEIGHBOUR_OFFSETS, Adjacency, DigitalPath, Point, validate_path
@@ -76,35 +78,50 @@ def components(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]
     return _connected_sets(img.foreground, adjacency)
 
 
-def _neighbour_table(pixels, adjacency: Adjacency) -> dict[Point, list[Point]]:
-    """Each pixel's neighbours among `pixels`, in sorted order."""
-    offsets = NEIGHBOUR_OFFSETS[adjacency]
-    table = {}
-    for p in pixels:
-        x, y = p
-        table[p] = [q for dx, dy in offsets if (q := (x + dx, y + dy)) in pixels]
-    return table
+# Tables over a neighbour code byte, whose bit k says that the neighbour at
+# the k-th offset of NEIGHBOUR_OFFSETS is foreground: the number of set bits
+# (the branching index) and the directions of the set bits, lowest first,
+# built as the codes below 2**k followed by each of them with bit k set.
+_DEGREE = bytes(c.bit_count() for c in range(256))
+_DIRECTIONS = [()]
+for _k in range(8):
+    _DIRECTIONS += [d + (_k,) for d in _DIRECTIONS]
 
 
-def _branching_and_tips(table: dict[Point, list[Point]]) -> tuple[set[Point], list[Point]]:
-    """The branching pixels (three or more neighbours) and the tips (one
-    neighbour, sorted), from one pass over the table."""
-    branching: set[Point] = set()
-    tips = []
-    for p, qs in table.items():
-        degree = len(qs)
-        if degree >= 3:
-            branching.add(p)
-        elif degree == 1:
-            tips.append(p)
-    tips.sort()
-    return branching, tips
+def _classify(pixels, adjacency: Adjacency):
+    """Integer ids for `pixels` and one neighbour code byte per id.
+
+    A pixel's id is its cell number in the bounding box padded by one cell
+    on every side, read column by column, so id order is tuple order and
+    the neighbour at (dx, dy) is at id + dx * h2 + dy, with no wrap between
+    columns.  Returns those id offsets in NEIGHBOUR_OFFSETS order, the code
+    of every id, the pixel of every id, the id of every branching pixel
+    (three or more neighbours) and the sorted ids of the tips (one)."""
+    if not pixels:
+        return (), {}, {}, {}, []
+    x0 = min(pixels)[0] - 1
+    y0 = min(pixels, key=itemgetter(1))[1] - 1
+    h2 = max(pixels, key=itemgetter(1))[1] - y0 + 2
+    point = {(x - x0) * h2 + y - y0: (x, y) for x, y in pixels}
+    offs = tuple([dx * h2 + dy for dx, dy in NEIGHBOUR_OFFSETS[adjacency]])
+    flip = len(offs) - 1
+    code = dict.fromkeys(point, 0)
+    # the offsets are sorted and symmetric, so direction flip - k is the
+    # step back from direction k: probing the larger half sets both bits
+    for k in range(len(offs) // 2, len(offs)):
+        o, bit, back = offs[k], 1 << k, 1 << flip - k
+        for i in point:
+            if (j := i + o) in code:
+                code[i] |= bit
+                code[j] |= back
+    degree = bytes(code.values()).translate(_DEGREE)
+    branching = {point[i]: i for i in compress(code, map((3).__le__, degree))}
+    return offs, code, point, branching, sorted(compress(code, map((1).__eq__, degree)))
 
 
 def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
     """Maximal connected sets of branching pixels, sorted by their smallest pixel."""
-    branching, _ = _branching_and_tips(_neighbour_table(img.foreground, adjacency))
-    return _connected_sets(branching, adjacency)
+    return _connected_sets(_classify(img.foreground, adjacency)[3], adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -157,22 +174,20 @@ class CurveGraph:
         }
 
 
-def _walk(table: dict[Point, list[Point]], start: Point, junction_of: dict[Point, int]) -> list[Point]:
-    """The chain from `start`: step each time to the first neighbour that is
-    neither a junction pixel nor the previous pixel, until there is none or
-    the walk is back at `start`."""
+def _walk(link: dict[int, int], steps, start: int) -> list[int]:
+    """The chain of ids from `start`: step each time along the lowest bit of
+    the pixel's code, once the bit back to the previous pixel is masked out,
+    until no bit is left or the walk is back at `start`.  `steps[k]` holds
+    the id offset of direction k and the mask that clears the bit back."""
     chain = [start]
-    prev, cur = None, start
-    while True:
-        nxt = None
-        for q in table[cur]:
-            if q != prev and q not in junction_of:
-                nxt = q
-                break
-        if nxt is None or nxt == start:
-            return chain
-        chain.append(nxt)
-        prev, cur = cur, nxt
+    cur, keep = start, -1
+    while c := link[cur] & keep:
+        step, keep = steps[_DIRECTIONS[c][0]]
+        cur += step
+        if cur == start:
+            break
+        chain.append(cur)
+    return chain
 
 
 _DISCONNECTED = "expected a single connected component"
@@ -180,46 +195,55 @@ _DISCONNECTED = "expected a single connected component"
 
 def _curve_graphs(pixels, adjacency: Adjacency) -> list[CurveGraph]:
     """The curve graph of every connected component of `pixels`, ordered by
-    smallest pixel, from one neighbour table.
+    smallest pixel, from one code byte per pixel (see `_classify`).
 
     End pixels and junction pixels live on the vertices; edge pixel lists
     hold everything in between, so vertex pixels and edge pixels partition
     the component.  A non-junction pixel has at most two neighbours, so each
     end of an open chain is a tip (one neighbour) or a port (a junction
     pixel's non-junction neighbour), and the chains are walked from those
-    ends.  What no walk reaches touches no tip and no junction: a lone
-    pixel, or a cycle, which starts at its smallest pixel and goes towards
-    that pixel's smaller neighbour.  Every edge's pixels touch those of both
-    its vertices, so the components of the small graph of junctions and
-    tips joined by chains are those of the image, and each keeps the
-    numbering of the whole: junctions by smallest pixel, then tips, then
-    chains by smallest pixel.
+    ends on codes whose bits towards junction pixels are cleared.  What no
+    walk reaches touches no tip and no junction: a lone pixel, or a cycle,
+    which starts at its smallest pixel and goes towards that pixel's smaller
+    neighbour.  Every edge's pixels touch those of both its vertices, so the
+    components of the small graph of junctions and tips joined by chains
+    are those of the image, and each keeps the numbering of the whole:
+    junctions by smallest pixel, then tips, then chains by smallest pixel.
+    The walk runs on ids, which id order keeps in tuple order; ids become
+    pixels only where a vertex or an edge is built.
     """
-    table = _neighbour_table(pixels, adjacency)
-    branching, tips = _branching_and_tips(table)
+    offs, code, point, branching, tips = _classify(pixels, adjacency)
     junctions = _connected_sets(branching, adjacency)
-    junction_of = {p: jid for jid, j in enumerate(junctions) for p in j}
-    ports = {q for p in junction_of for q in table[p] if q not in junction_of}
+    junction_of = {branching[p]: jid for jid, j in enumerate(junctions) for p in j}
+    flip = len(offs) - 1  # the step back from direction k (see `_classify`)
+    steps = [(o, ~(1 << flip - k)) for k, o in enumerate(offs)]
+    link = code.copy()
+    ports = set()
+    for j in junction_of:
+        for k in _DIRECTIONS[code[j]]:
+            if (q := j + offs[k]) not in junction_of:
+                ports.add(q)
+                link[q] &= steps[k][1]
     chains = []
-    far_ends: set[Point] = set()
+    far_ends: set[int] = set()
     # each chain is met first at its smaller end
     for start in sorted(ports.union(tips)):
         if start not in far_ends:
-            chain = _walk(table, start, junction_of)
+            chain = _walk(link, steps, start)
             far_ends.add(chain[-1])
             chains.append(chain)
     chains.sort(key=min)
 
     vertices = [Vertex("junction", tuple(sorted(j))) for j in junctions]
-    vertices += [Vertex("end", (p,)) for p in tips]
+    vertices += [Vertex("end", (point[p],)) for p in tips]
     end_vertex = {p: vid for vid, p in enumerate(tips, len(junctions))}
 
-    def attachments(p: Point) -> list[int]:
+    def attachments(p: int) -> list[int]:
         # a tip's own vertex, then its junction neighbours in sorted order; a
         # chain of two or more pixels attaches each end to one of them, a
         # one-pixel chain runs from the first to the last
         ids = [end_vertex[p]] if p in end_vertex else []
-        ids += [junction_of[q] for q in table[p] if q in junction_of]
+        ids += [junction_of[q] for k in _DIRECTIONS[code[p]] if (q := p + offs[k]) in junction_of]
         return ids
 
     ends = [(attachments(c[0])[0], attachments(c[-1])[-1]) for c in chains]
@@ -244,29 +268,29 @@ def _curve_graphs(pixels, adjacency: Adjacency) -> list[CurveGraph]:
     for chain, (u, v) in zip(chains, ends):
         part = parts[find(u)]
         if not part[2]:
-            part[0] = min(part[0], min(chain))
+            part[0] = min(part[0], point[min(chain)])
         # end pixels live on their vertices, not in the edge's pixel list
         start = 1 if chain[0] in end_vertex else 0
         stop = len(chain) - 1 if chain[-1] in end_vertex else len(chain)
-        part[2].append(Edge(local[u], local[v], tuple(chain[start:stop])))
+        part[2].append(Edge(local[u], local[v], tuple(map(point.__getitem__, chain[start:stop]))))
     found = [(low, CurveGraph(tuple(vs), tuple(es), adjacency)) for low, vs, es in parts.values()]
 
     # what no walk reached: lone pixels and pure cycles
-    rest = set(table).difference(junction_of, *chains)
+    rest = set(code).difference(junction_of, *chains)
     while rest:
         p = rest.pop()
-        if not table[p]:
-            found.append((p, CurveGraph((Vertex("end", (p,)),), (), adjacency)))
+        if not code[p]:
+            found.append((point[p], CurveGraph((Vertex("end", (point[p],)),), (), adjacency)))
             continue
-        cycle = _walk(table, p, junction_of)
+        cycle = _walk(link, steps, p)
         rest.difference_update(cycle)
         # from its smallest pixel towards that pixel's smaller neighbour
         k = cycle.index(min(cycle))
         cycle = cycle[k:] + cycle[:k]
-        if cycle[1] != table[cycle[0]][0]:
+        if cycle[1] != cycle[0] + offs[_DIRECTIONS[code[cycle[0]]][0]]:
             cycle[1:] = cycle[:0:-1]
-        found.append((cycle[0], CurveGraph((Vertex("cycle", ()),), (Edge(0, 0, tuple(cycle)),),
-                                           adjacency)))
+        edge = Edge(0, 0, tuple(map(point.__getitem__, cycle)))
+        found.append((point[cycle[0]], CurveGraph((Vertex("cycle", ()),), (edge,), adjacency)))
     return [g for _, g in sorted(found, key=lambda f: f[0])]
 
 

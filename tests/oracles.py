@@ -17,8 +17,13 @@ which reads its single-component check from the graph it built, must
 return the same graph or raise the same exception type.
 `find_junctions_reference` returns the maximal connected sets of branching
 pixels as plain frozensets, found from those per-pixel branching indices;
-the junction vertices of the neighbour-table builder must hold the same
-sets.
+the junction vertices of the graph builder must hold the same sets.
+
+`curve_graphs_reference` is the whole-image graph builder on tuple pixels:
+a table of neighbour lists per pixel, and chains walked by testing each
+neighbour against the previous pixel and the junction pixels.  The builder
+on integer pixel ids and neighbour code bytes must return the same graphs,
+in the same order, at both adjacencies.
 
 `dss_replay` re-derives a DSS recognizer's state from its core points
 alone, by extending a fresh core one point at a time at either end; the
@@ -516,3 +521,141 @@ def build_curve_graph_reference(img: BinaryImage, adjacency: Adjacency) -> Curve
         edges.append(Edge(u, v, tuple(pixels)))
 
     return CurveGraph(tuple(vertices), tuple(edges), adjacency)
+
+
+def _neighbour_table(pixels, adjacency: Adjacency) -> dict[Point, list[Point]]:
+    """Each pixel's neighbours among `pixels`, in sorted order."""
+    offsets = NEIGHBOUR_OFFSETS[adjacency]
+    table = {}
+    for p in pixels:
+        x, y = p
+        table[p] = [q for dx, dy in offsets if (q := (x + dx, y + dy)) in pixels]
+    return table
+
+
+def _branching_and_tips(table: dict[Point, list[Point]]) -> tuple[set[Point], list[Point]]:
+    """The branching pixels (three or more neighbours) and the tips (one
+    neighbour, sorted), from one pass over the table."""
+    branching: set[Point] = set()
+    tips = []
+    for p, qs in table.items():
+        degree = len(qs)
+        if degree >= 3:
+            branching.add(p)
+        elif degree == 1:
+            tips.append(p)
+    tips.sort()
+    return branching, tips
+
+
+def _walk(table: dict[Point, list[Point]], start: Point, junction_of: dict[Point, int]) -> list[Point]:
+    """The chain from `start`: step each time to the first neighbour that is
+    neither a junction pixel nor the previous pixel, until there is none or
+    the walk is back at `start`."""
+    chain = [start]
+    prev, cur = None, start
+    while True:
+        nxt = None
+        for q in table[cur]:
+            if q != prev and q not in junction_of:
+                nxt = q
+                break
+        if nxt is None or nxt == start:
+            return chain
+        chain.append(nxt)
+        prev, cur = cur, nxt
+
+
+def curve_graphs_reference(pixels, adjacency: Adjacency) -> list[CurveGraph]:
+    """The tuple-keyed builder that `satcover.trace._curve_graphs` replaced,
+    kept as the reference it is compared against.
+
+    The curve graph of every connected component of `pixels`, ordered by
+    smallest pixel, from one neighbour table.
+
+    End pixels and junction pixels live on the vertices; edge pixel lists
+    hold everything in between, so vertex pixels and edge pixels partition
+    the component.  A non-junction pixel has at most two neighbours, so each
+    end of an open chain is a tip (one neighbour) or a port (a junction
+    pixel's non-junction neighbour), and the chains are walked from those
+    ends.  What no walk reaches touches no tip and no junction: a lone
+    pixel, or a cycle, which starts at its smallest pixel and goes towards
+    that pixel's smaller neighbour.  Every edge's pixels touch those of both
+    its vertices, so the components of the small graph of junctions and
+    tips joined by chains are those of the image, and each keeps the
+    numbering of the whole: junctions by smallest pixel, then tips, then
+    chains by smallest pixel.
+    """
+    table = _neighbour_table(pixels, adjacency)
+    branching, tips = _branching_and_tips(table)
+    junctions = _connected_sets(branching, adjacency)
+    junction_of = {p: jid for jid, j in enumerate(junctions) for p in j}
+    ports = {q for p in junction_of for q in table[p] if q not in junction_of}
+    chains = []
+    far_ends: set[Point] = set()
+    # each chain is met first at its smaller end
+    for start in sorted(ports.union(tips)):
+        if start not in far_ends:
+            chain = _walk(table, start, junction_of)
+            far_ends.add(chain[-1])
+            chains.append(chain)
+    chains.sort(key=min)
+
+    vertices = [Vertex("junction", tuple(sorted(j))) for j in junctions]
+    vertices += [Vertex("end", (p,)) for p in tips]
+    end_vertex = {p: vid for vid, p in enumerate(tips, len(junctions))}
+
+    def attachments(p: Point) -> list[int]:
+        # a tip's own vertex, then its junction neighbours in sorted order; a
+        # chain of two or more pixels attaches each end to one of them, a
+        # one-pixel chain runs from the first to the last
+        ids = [end_vertex[p]] if p in end_vertex else []
+        ids += [junction_of[q] for q in table[p] if q in junction_of]
+        return ids
+
+    ends = [(attachments(c[0])[0], attachments(c[-1])[-1]) for c in chains]
+    root = list(range(len(vertices)))  # union-find: a chain joins its two vertices
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for u, v in ends:
+        root[find(u)] = find(v)
+
+    # by component: [smallest pixel, vertices, edges]; each pixel is in a
+    # junction or on a chain, so the smallest is in the first of either
+    parts: dict[int, list] = {}
+    local = []
+    for vid, vert in enumerate(vertices):
+        part = parts.setdefault(find(vid), [vert.pixels[0], [], []])
+        local.append(len(part[1]))
+        part[1].append(vert)
+    for chain, (u, v) in zip(chains, ends):
+        part = parts[find(u)]
+        if not part[2]:
+            part[0] = min(part[0], min(chain))
+        # end pixels live on their vertices, not in the edge's pixel list
+        start = 1 if chain[0] in end_vertex else 0
+        stop = len(chain) - 1 if chain[-1] in end_vertex else len(chain)
+        part[2].append(Edge(local[u], local[v], tuple(chain[start:stop])))
+    found = [(low, CurveGraph(tuple(vs), tuple(es), adjacency)) for low, vs, es in parts.values()]
+
+    # what no walk reached: lone pixels and pure cycles
+    rest = set(table).difference(junction_of, *chains)
+    while rest:
+        p = rest.pop()
+        if not table[p]:
+            found.append((p, CurveGraph((Vertex("end", (p,)),), (), adjacency)))
+            continue
+        cycle = _walk(table, p, junction_of)
+        rest.difference_update(cycle)
+        # from its smallest pixel towards that pixel's smaller neighbour
+        k = cycle.index(min(cycle))
+        cycle = cycle[k:] + cycle[:k]
+        if cycle[1] != table[cycle[0]][0]:
+            cycle[1:] = cycle[:0:-1]
+        found.append((cycle[0], CurveGraph((Vertex("cycle", ()),), (Edge(0, 0, tuple(cycle)),),
+                                           adjacency)))
+    return [g for _, g in sorted(found, key=lambda f: f[0])]

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -128,7 +129,8 @@ def test_graph_json_and_dot():
     doc = graph.to_json_dict()
     assert set(doc) == {"nodes", "edges", "proper", "interval"}
     assert doc["nodes"][0] == {"start": 0, "len": 3}
-    assert doc["edges"] == [[0, 1], [0, 2], [1, 2]]
+    assert doc["edges"] == ((0, 1), (0, 2), (1, 2))
+    assert json.dumps(doc["edges"]) == "[[0, 1], [0, 2], [1, 2]]"
     dot = graph.to_dot()
     assert "n0 -- n1;" in dot and dot.startswith("graph cover {")
 

@@ -128,6 +128,29 @@ def test_matches_reference_decoder():
     assert accepted > 500 and rejected > 500, (accepted, rejected)
 
 
+def test_sparse_p4_matches_reference_decoder():
+    """Seeded sparse P4 rasters 64-300 pixels wide, with empty rows, runs of
+    zero bytes and padding bits set in every row's last byte: the decoder,
+    which reads only the non-zero bytes, returns the reference's image."""
+    rng = random.Random(11)
+    padded = 0
+    for _ in range(300):
+        w, h = rng.randint(64, 300), rng.randint(1, 40)
+        density = rng.choice((0.0, 0.002, 0.01, 0.05, 0.3))
+        fg = frozenset((x, y) for y in range(h) if rng.random() < 0.7
+                       for x in range(w) if rng.random() < density)
+        data = bytearray(dump_p4(BinaryImage(w, h, fg)))
+        row_bytes = (w + 7) // 8
+        body = len(data) - row_bytes * h
+        if w % 8:
+            padded += 1
+            for y in range(h):
+                data[body + (y + 1) * row_bytes - 1] |= 0xFF >> (w % 8)
+        data = bytes(data)
+        assert load_pbm(data) == load_pbm_reference(data) == BinaryImage(w, h, fg)
+    assert padded > 200
+
+
 def test_image_bounds_enforced():
     with pytest.raises(ValueError):
         BinaryImage(2, 2, frozenset({(2, 0)}))

@@ -8,6 +8,7 @@ from fixtures import ALL_FIXTURES, fixture_image
 from oracles import (
     branching_index,
     build_curve_graph_reference,
+    curve_graphs_reference,
     find_junctions_reference,
     min_matching_weight,
     min_weight_matching_reference,
@@ -23,6 +24,7 @@ from satcover.trace import (
     TraceError,
     Vertex,
     _adjacency,
+    _curve_graphs,
     _dijkstra,
     build_curve_graph,
     components,
@@ -655,6 +657,45 @@ def test_small_scope_rasters(adjacency):
             duplicated += want > 0
         assert covered == fg, mask
     assert duplicated > 300, duplicated
+
+
+def _far_bordered_images(count: int, seed: int):
+    """Seeded noise in boxes of 1-30 x 1-30 cells placed up to 10^6 cells
+    from the origin, with foreground on all four sides of the box: in its
+    first and last column and its first and last row, often at the corners
+    or in neighbouring columns, where a stride that lets one column's ids
+    run into the next would join pixels that do not touch."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        w, h = rng.randint(1, 30), rng.randint(1, 30)
+        ox, oy = rng.randint(0, 10 ** 6), rng.randint(0, 10 ** 6)
+        density = rng.uniform(0.05, 0.5)
+        fg = {(x, y) for x in range(w) for y in range(h) if rng.random() < density}
+        for _ in range(rng.randint(1, 4)):
+            x, y = rng.randrange(w), rng.randrange(h)
+            fg.update([(0, y), (w - 1, y), (x, 0), (x, h - 1)])
+            if x + 1 < w:
+                fg.update([(x + 1, 0), (x + 1, h - 1)])
+        yield frozenset((ox + x, oy + y) for x, y in fg)
+
+
+@pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
+def test_curve_graphs_equal_the_tuple_builder(adjacency):
+    """The builder on integer pixel ids and neighbour code bytes returns the
+    graphs of the tuple builder it replaced, in the same order: on the
+    2,400-image corpus and the fixtures, on every 4x4 raster up to symmetry,
+    and on images with foreground on all four sides far from the origin."""
+    images = [img.foreground for img in _mixed_images(2400, seed=29)]
+    images += [fixture_image(n).foreground for n in sorted(ALL_FIXTURES)]
+    images += [frozenset(c for i, c in enumerate(_CELLS) if mask >> i & 1)
+               for mask in _square_class_masks()]
+    images += list(_far_bordered_images(1500, seed=41))
+    kinds: Counter = Counter()
+    for fg in images:
+        graphs = _curve_graphs(fg, adjacency)
+        assert graphs == curve_graphs_reference(fg, adjacency), sorted(fg)
+        kinds.update(v.kind for g in graphs for v in g.vertices)
+    assert min(kinds[k] for k in ("end", "junction", "cycle")) >= 1000, kinds
 
 
 def test_all_branching_blob_covered():
