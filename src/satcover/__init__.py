@@ -16,7 +16,6 @@ from .paths import (
     DigitalPath,
     IndexInterval,
     PathFormatError,
-    interval_contains,
     is_adjacent,
     middle_index,
     path_from_json,

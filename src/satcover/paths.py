@@ -137,18 +137,6 @@ class IndexInterval(NamedTuple):
             yield (self.start + k) % n_points
 
 
-def interval_contains(n_points: int, closed: bool, outer: IndexInterval, inner: IndexInterval) -> bool:
-    """True iff inner's index range is a subset of outer's (circularly for closed)."""
-    if inner.length > outer.length:
-        return False
-    if not closed:
-        return outer.start <= inner.start and inner.start + inner.length <= outer.start + outer.length
-    if outer.length == n_points:
-        return True
-    offset = (inner.start - outer.start) % n_points
-    return offset + inner.length <= outer.length
-
-
 def middle_index(iv: IndexInterval, n_points: int) -> int:
     """The index from which the interval is rebuilt by alternating,
     positive-first additions: start + floor((length-1)/2), mod n_points."""
@@ -199,7 +187,7 @@ def path_from_json(text: str | bytes) -> DigitalPath:
         if (type(entry) is not list or len(entry) != 2
                 or type(entry[0]) is not int or type(entry[1]) is not int):
             raise PathFormatError(f"point {i} must be a pair of integers, got {entry!r}")
-    path = DigitalPath(tuple(map(tuple, raw)), closed=doc["closed"], adjacency=adjacency)
+    path = DigitalPath(raw, closed=doc["closed"], adjacency=adjacency)
     report = validate_path(path)
     if not report.ok:
         raise PathFormatError(f"invalid digital path: {report.message}")

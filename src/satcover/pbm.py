@@ -44,18 +44,6 @@ for _b in range(7, -1, -1):
     _BIT_XS += [(_b,) + xs for xs in _BIT_XS]
 
 
-def _ones(bits: str, width: int) -> set[Point]:
-    """Foreground of a row-major string of '0'/'1' with `width` cells per row."""
-    fg = set()
-    for y, start in enumerate(range(0, len(bits), width)):
-        end = start + width
-        x = bits.find("1", start, end)
-        while x >= 0:
-            fg.add((x - start, y))
-            x = bits.find("1", x + 1, end)
-    return fg
-
-
 def load_pbm(data: bytes) -> BinaryImage:
     """Decode a P1 or P4 file; any malformed input raises PbmError."""
     if not isinstance(data, (bytes, bytearray)):
@@ -90,7 +78,12 @@ def load_pbm(data: bytes) -> BinaryImage:
             raise PbmError("P1 pixels must be 0 or 1")
         if len(body) != width * height:
             raise PbmError(f"expected {width * height} pixels, got {len(body)}")
-        fg = _ones(body.decode("ascii"), width)
+        fg = []
+        pos = body.find(b"1")
+        while pos >= 0:
+            y, x = divmod(pos, width)
+            fg.append((x, y))
+            pos = body.find(b"1", pos + 1)
     else:
         # raw rows start after the single whitespace byte ending the header
         if start >= len(data) or not data[start:start + 1].isspace():

@@ -338,26 +338,39 @@ def _dijkstra(adj: list[list[tuple[int, int, int]]], source: int):
     return dist, pred
 
 
-def _bridges(adj: list[list[tuple[int, int, int]]]) -> set[int]:
-    """Edge ids of the bridges of a connected multigraph, by an iterative
+def _blocks(adj: list[list[tuple[int, int, int]]]):
+    """Reachability, bridges and 2-edge-connected blocks from one iterative
     lowlink search from vertex 0.  The search skips only the edge it arrived
     by, so a parallel copy of it is a back edge, and a self-loop lowers
-    nothing: neither is ever a bridge."""
-    order = [0] * len(adj)  # discovery time from 1; 0 while unvisited
+    nothing: neither is ever a bridge.  Leaving u over a bridge closes u's
+    block: the vertices found since u that no closed block holds yet.  The
+    block left when the search ends holds vertex 0.
+
+    Returns each vertex's block (-1 where the search does not reach), each
+    block's vertices and each block's bridge above it as (edge id, its end
+    in the block, its other end).  Blocks are numbered in the order they
+    close, so a block comes before its parent; the last one, vertex 0's,
+    has None for its bridge."""
+    # `found` holds the discovered vertices that no closed block holds, in
+    # discovery order; it is cut back only above the vertex being left, so
+    # the positions of the vertices on the search stack order them as
+    # their discovery times would, and serve as the lowlink values
+    at = [-1] * len(adj)  # a vertex's position in `found`; -1 while undiscovered
     low = [0] * len(adj)
-    order[0] = low[0] = clock = 1
-    bridges = set()
+    block = [-1] * len(adj)
+    found, members, up = [0], [], []
+    at[0] = 0
     stack = [(0, -1, iter(adj[0]))]
     while stack:
         u, arrived_by, todo = stack[-1]
         for _, v, ei in todo:
             if ei == arrived_by:
                 continue
-            if order[v]:
-                low[u] = min(low[u], order[v])
+            if at[v] >= 0:
+                low[u] = min(low[u], at[v])
             else:
-                clock += 1
-                order[v] = low[v] = clock
+                at[v] = low[v] = len(found)
+                found.append(v)
                 stack.append((v, ei, iter(adj[v])))
                 break
         else:
@@ -365,53 +378,32 @@ def _bridges(adj: list[list[tuple[int, int, int]]]) -> set[int]:
             if stack:
                 p = stack[-1][0]
                 low[p] = min(low[p], low[u])
-                if low[u] > order[p]:
-                    bridges.add(arrived_by)
-    return bridges
-
-
-def _blocks(adj: list[list[tuple[int, int, int]]], bridges: set[int]):
-    """The 2-edge-connected blocks, by one search from vertex 0 that opens a
-    new block on each bridge it crosses: a block hangs off the rest only by
-    the bridge above it, so the search enters it there.  Returns each
-    vertex's block (-1 where the search does not reach), each block's
-    vertices and, for every block but block 0, the bridge above it as
-    (edge id, its end in the block, its other end).  A block is numbered
-    after its parent."""
-    block = [-1] * len(adj)
-    block[0] = 0
-    members = [[0]]
-    up: list[Optional[tuple[int, int, int]]] = [None]
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for _, v, ei in adj[u]:
-            if block[v] < 0:
-                if ei in bridges:
-                    block[v] = len(members)
-                    members.append([v])
-                    up.append((ei, v, u))
-                else:
-                    block[v] = block[u]
-                    members[block[u]].append(v)
-                stack.append(v)
+                if low[u] <= at[p]:
+                    continue
+                up.append((arrived_by, u, p))
+            else:
+                up.append(None)
+            for v in found[at[u]:]:
+                block[v] = len(members)
+            members.append(found[at[u]:])
+            del found[at[u]:]
     return block, members, up
 
 
 MAX_ODD = 20  # cap on one block's parity set, for the exact bitmask matching
 
 
-def _postman_edges(g: CurveGraph, adj: list[list[tuple[int, int, int]]],
-                   odd: list[int]) -> list[int]:
-    """The edge ids to duplicate, pair by pair.  The odd vertices are paired
-    by the lexicographically first minimum-weight pairing: the lowest
-    unpaired vertex a takes the smallest partner c with which the rest can
-    still reach the optimum.  Each pair's edges are those of the shortest
-    path from a, listed from c back to a.
+def _postman_edges(g: CurveGraph, odd: list[int], block: list[int],
+                   members: list[list[int]], up: list) -> list[int]:
+    """The edge ids to duplicate, pair by pair, on the blocks of `_blocks`.
+    The odd vertices are paired by the lexicographically first
+    minimum-weight pairing: the lowest unpaired vertex a takes the smallest
+    partner c with which the rest can still reach the optimum.  Each pair's
+    edges are those of the shortest path from a, listed from c back to a.
 
     The optimum tau(T) of a set T of vertices splits over the bridges and
     2-edge-connected blocks.  A bridge is duplicated iff the side of it
-    away from block 0 holds an odd number of T.  Each block pairs its
+    away from vertex 0 holds an odd number of T.  Each block pairs its
     parity set by a bitmask DP: its vertices in T, with each end of a
     duplicated bridge toggled.  A shortest path between two vertices of a
     block stays inside it, so the DP reads distances from a search that
@@ -424,15 +416,10 @@ def _postman_edges(g: CurveGraph, adj: list[list[tuple[int, int, int]]],
     iff every bridge on the way is duplicated and each block's DP drops by
     exactly d(x, y).  A tree's blocks are single vertices, so a tree pairs
     by parity alone and needs no search."""
-    bridges = _bridges(adj)
-    block, members, up = _blocks(adj, bridges)
-    bit = [0] * len(adj)  # a vertex's bit in its block's masks
+    bit = [0] * len(block)  # a vertex's bit in its block's masks
     for vs in members:
         for k, v in enumerate(vs):
             bit[v] = 1 << k
-    depth = [0]
-    for _, _, hi in up[1:]:
-        depth.append(depth[block[hi]] + 1)
 
     # the parity sets of `odd`: one mask per block, children before parents
     mask = [0] * len(members)
@@ -441,8 +428,7 @@ def _postman_edges(g: CurveGraph, adj: list[list[tuple[int, int, int]]],
         mask[block[v]] ^= bit[v]
         below[block[v]] += 1
     doubled = [False] * len(g.edges)
-    for b in range(len(members) - 1, 0, -1):
-        ei, lo, hi = up[b]
+    for b, (ei, lo, hi) in enumerate(up[:-1]):
         below[block[hi]] += below[b]
         if below[b] % 2:
             doubled[ei] = True
@@ -453,7 +439,7 @@ def _postman_edges(g: CurveGraph, adj: list[list[tuple[int, int, int]]],
         raise OddVerticesError(f"{worst} odd vertices in one 2-edge-connected block "
                                f"exceed the exact matching cap of {MAX_ODD}")
 
-    inner = _adjacency(g, bridges)
+    inner = _adjacency(g, {bridge[0] for bridge in up[:-1]})
     searches: dict[int, tuple] = {}
 
     def paths_from(v: int):
@@ -480,11 +466,13 @@ def _postman_edges(g: CurveGraph, adj: list[list[tuple[int, int, int]]],
 
     def route(a: int, c: int):
         # the legs (x, y) inside each block from a to c and the bridges
-        # between them, or None at a bridge that is not duplicated
+        # between them, or None at a bridge that is not duplicated; a block
+        # is numbered before its parent, so the smaller of two is never an
+        # ancestor of the other and climbs towards their meeting block
         xa, xc, ba, bc = a, c, block[a], block[c]
         legs_a, legs_c, bridges_a, bridges_c = [], [], [], []
         while ba != bc:
-            if depth[ba] >= depth[bc]:
+            if ba < bc:
                 ei, lo, hi = up[ba]
                 if not doubled[ei]:
                     return None
@@ -542,14 +530,16 @@ def eulerize(g: CurveGraph) -> CurveGraph:
     are matched exactly, so a tree of any size eulerizes; a block whose
     parity set exceeds MAX_ODD raises OddVerticesError, and a disconnected
     graph (one search from vertex 0 leaves a vertex unreached) TraceError."""
-    adj = _adjacency(g)
-    if adj and -1 in _blocks(adj, set())[0]:
+    if not g.vertices:
+        return g
+    blocks = _blocks(_adjacency(g))
+    if -1 in blocks[0]:
         raise TraceError("cannot eulerize a disconnected graph")
     odd = g.odd_vertices()
     if not odd:
         return g
     new_edges = list(g.edges)
-    for ei in _postman_edges(g, adj, odd):
+    for ei in _postman_edges(g, odd, *blocks):
         base = g.edges[ei]
         new_edges.append(Edge(base.u, base.v, base.pixels, duplicate_of=ei))
     return CurveGraph(g.vertices, tuple(new_edges), g.adjacency)

@@ -41,6 +41,14 @@ arcs; the sorted-start builder must return the same nodes, edges and
 interval is evaluated and true intervals contained in other true
 intervals are dropped.
 
+`blocks_reference` finds the bridges and 2-edge-connected blocks of a
+multigraph by deleting each edge in turn and searching again; the one
+lowlink search of `satcover.trace` must give the same blocks and bridges.
+
+`interval_contains` is the containment test of two index intervals that
+the arc-graph builder no longer needs; `arc_graph_reference` and
+`literal_cover` test inclusions with it.
+
 `min_weight_matching_reference` is the bitmask matching over all odd
 vertices that `satcover.trace.eulerize` used before it split the problem
 over bridges and 2-edge-connected blocks: the lowest unpaired odd vertex
@@ -65,7 +73,6 @@ from satcover.paths import (
     IndexInterval,
     Point,
     ValidationReport,
-    interval_contains,
     is_adjacent,
 )
 from satcover.pbm import BinaryImage, PbmError
@@ -103,6 +110,18 @@ def validate_path_reference(path: DigitalPath) -> ValidationReport:
         if not is_adjacent(pts[-1], pts[0], path.adjacency):
             return ValidationReport(False, index=n1 - 1, kind="bad_closure", closing=True)
     return ValidationReport(True)
+
+
+def interval_contains(n_points: int, closed: bool, outer: IndexInterval, inner: IndexInterval) -> bool:
+    """True iff inner's index range is a subset of outer's (circularly for closed)."""
+    if inner.length > outer.length:
+        return False
+    if not closed:
+        return outer.start <= inner.start and inner.start + inner.length <= outer.start + outer.length
+    if outer.length == n_points:
+        return True
+    offset = (inner.start - outer.start) % n_points
+    return offset + inner.length <= outer.length
 
 
 def intervals_intersect(n_points: int, closed: bool, a: IndexInterval, b: IndexInterval) -> bool:
@@ -324,6 +343,42 @@ def min_weight_matching_reference(odd: list[int], dist: dict[int, list]) -> list
                 break
     best.cache_clear()
     return pairs
+
+
+def blocks_reference(g: CurveGraph) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Reachability, bridges and 2-edge-connected blocks of a multigraph by
+    their definitions, on the vertices reached from vertex 0: an edge is a
+    bridge iff deleting it disconnects its ends, and the blocks are the
+    components once the bridges are gone.  Returns each vertex's block as
+    its smallest vertex (-1 where vertex 0 does not reach), and every
+    bridge as {edge id: (its end away from vertex 0, its end towards it)}."""
+    around: list[list[tuple[int, int]]] = [[] for _ in g.vertices]
+    for ei, e in enumerate(g.edges):
+        around[e.u].append((e.v, ei))
+        around[e.v].append((e.u, ei))
+
+    def reach(start: int, cut) -> set[int]:
+        seen, todo = {start}, [start]
+        while todo:
+            for w, ei in around[todo.pop()]:
+                if ei not in cut and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return seen
+
+    reached = reach(0, ()) if g.vertices else set()
+    bridges = {}
+    for ei, e in enumerate(g.edges):
+        if e.u in reached and e.v not in reach(e.u, {ei}):
+            near = reach(0, {ei})
+            bridges[ei] = (e.v, e.u) if e.u in near else (e.u, e.v)
+    block = [-1] * len(g.vertices)
+    for v in reached:
+        if block[v] < 0:
+            comp = reach(v, bridges)
+            for w in comp:
+                block[w] = min(comp)
+    return block, bridges
 
 
 def _tokens(data: bytes):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fixtures import GRID_SPECS
-from oracles import arc_graph_reference, intervals_intersect
+from oracles import arc_graph_reference, interval_contains, intervals_intersect
 from satcover import synth
 from satcover.arcs import build_arc_graph
 from satcover.cover import SaturatedCover, saturated_cover
-from satcover.paths import Adjacency, DigitalPath, IndexInterval, interval_contains
+from satcover.paths import Adjacency, DigitalPath, IndexInterval
 from satcover.predicates import PredicateSpec
 from satcover.verify import applicable, iter_corpus
 

@@ -4,13 +4,17 @@ from collections import Counter
 
 import pytest
 
-from oracles import enumerate_subpaths, intervals_intersect, validate_path_reference
+from oracles import (
+    enumerate_subpaths,
+    interval_contains,
+    intervals_intersect,
+    validate_path_reference,
+)
 from satcover.paths import (
     Adjacency,
     DigitalPath,
     IndexInterval,
     PathFormatError,
-    interval_contains,
     is_adjacent,
     middle_index,
     path_from_json,

@@ -1,11 +1,16 @@
-"""The benchmark harness wraps program functions by name; a function it
-names must exist, or only a traced benchmark run would notice."""
+"""Checks on the repository around the program: the benchmark harness
+wraps program functions by name, and a function it names must exist, or
+only a traced benchmark run would notice; and the program has no runtime
+dependencies (`pyproject.toml` lists none), so it imports only the
+standard library and itself."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
-RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "perfbench" / "run.py"
 
 
 def _assigned(name: str):
@@ -23,3 +28,19 @@ def test_traced_spans_resolve():
     for module, attr in traced:
         assert callable(getattr(importlib.import_module(f"satcover.{module}"), attr, None)), \
             f"satcover.{module}.{attr}"
+
+
+def test_program_imports_only_the_standard_library():
+    sources = sorted((ROOT / "src" / "satcover").glob("*.py"))
+    assert sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in sys.stdlib_module_names, \
+                    f"{source.name}:{node.lineno} imports {name}"

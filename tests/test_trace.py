@@ -6,6 +6,7 @@ import pytest
 
 from fixtures import ALL_FIXTURES, fixture_image
 from oracles import (
+    blocks_reference,
     branching_index,
     build_curve_graph_reference,
     curve_graphs_reference,
@@ -13,6 +14,7 @@ from oracles import (
     min_matching_weight,
     min_weight_matching_reference,
 )
+from satcover import trace
 from satcover.paths import Adjacency, is_adjacent, validate_path
 from satcover.pbm import BinaryImage, image_from_ascii
 from satcover.trace import (
@@ -24,6 +26,7 @@ from satcover.trace import (
     TraceError,
     Vertex,
     _adjacency,
+    _blocks,
     _curve_graphs,
     _dijkstra,
     build_curve_graph,
@@ -344,6 +347,90 @@ def test_eulerize_pairs_like_the_reference():
             if checked.total() == 3000:
                 break
     assert min(checked.values()) >= 1000, checked
+
+
+def _lowlink_graphs(seed: int):
+    """Multigraphs of 1-12 vertices: a random spanning tree with some of its
+    edges dropped in about a third of the graphs, then parallel copies of
+    its edges in about half of them, and self-loops and chords each in
+    about two fifths."""
+    rng = random.Random(seed)
+    while True:
+        n = rng.randint(1, 12)
+        drop = rng.choice([0.0, 0.0, 0.3])
+        pairs = [(rng.randrange(v), v) for v in range(1, n) if rng.random() >= drop]
+        if pairs and rng.random() < 0.5:
+            pairs += [rng.choice(pairs) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.4:
+            pairs += [(v, v) for v in rng.sample(range(n), rng.randint(1, n))]
+        if rng.random() < 0.4:
+            pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, n))]
+        rng.shuffle(pairs)
+        yield _multigraph(n, pairs)
+
+
+def _lowlink_kinds(g, block, bridges):
+    """Which of the corpus' kinds g is: a tree with at least one edge,
+    disconnected, with a self-loop, or with a parallel copy of an edge that
+    is a bridge once the copy is deleted."""
+    kinds = set()
+    ends = [frozenset((e.u, e.v)) for e in g.edges]
+    if any(e.u == e.v for e in g.edges):
+        kinds.add("self-loop")
+    if -1 in block:
+        kinds.add("disconnected")
+    elif 0 < len(g.edges) == len(g.vertices) - 1:
+        kinds.add("tree")
+    for ei, e in enumerate(g.edges):
+        if e.u != e.v and ends.count(ends[ei]) == 2:
+            rest = g.edges[:ei] + g.edges[ei + 1:]
+            if len(blocks_reference(CurveGraph(g.vertices, rest, FOUR))[1]) > len(bridges):
+                kinds.add("parallel-bridge")
+    return kinds
+
+
+def test_blocks_match_their_definitions():
+    """The one lowlink search gives the blocks and bridges that deleting
+    each edge in turn gives: the same partition of the vertices vertex 0
+    reaches, -1 on the others, and the same bridges, each listed as (edge
+    id, its end in the block, its end in the parent block).  A block is
+    numbered before its parent, and the last block holds vertex 0."""
+    kinds: Counter = Counter()
+    graphs = _lowlink_graphs(seed=29)
+    for _ in range(2000):
+        g = next(graphs)
+        block, members, up = _blocks(_adjacency(g))
+        want_block, want_bridges = blocks_reference(g)
+        assert [min(members[b]) if b >= 0 else -1 for b in block] == want_block, g
+        assert all(block[v] == b for b, vs in enumerate(members) for v in vs), g
+        assert sum(map(len, members)) == len(block) - block.count(-1), g
+        assert len(up) == len(members) == len(want_bridges) + 1, g
+        assert up[-1] is None and block[0] == len(members) - 1, g
+        assert {ei: (lo, hi) for ei, lo, hi in up[:-1]} == want_bridges, g
+        for b, (ei, lo, hi) in enumerate(up[:-1]):
+            assert block[lo] == b < block[hi], g
+        kinds.update(_lowlink_kinds(g, want_block, want_bridges))
+    assert min(kinds[k] for k in ("tree", "disconnected", "self-loop", "parallel-bridge")) >= 200, kinds
+
+
+def test_eulerize_searches_the_graph_once(monkeypatch):
+    """eulerize makes one lowlink search, and the pairing reads its blocks
+    instead of searching again: on the H fixture, and on a graph with
+    bridges and a block holding a cycle."""
+    calls = []
+
+    def counted(adj):
+        calls.append(len(adj))
+        return _blocks(adj)
+
+    monkeypatch.setattr(trace, "_blocks", counted)
+    h_shape = build_curve_graph(fixture_image("h_shape"), FOUR)
+    bridged = _multigraph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (0, 5)])
+    for g in (h_shape, bridged):
+        assert g.odd_vertices()
+        calls.clear()
+        assert eulerize(g).odd_vertices() == []
+        assert calls == [len(g.vertices)]
 
 
 def test_eulerize_trees_above_the_cap_by_parity():
