@@ -103,26 +103,34 @@ class Recognizer:
             self._length = 1
         return ok
 
+    # The two extensions are written out apiece, one frame above the hook:
+    # each adds the point at unwrapped index `nxt`, just past its end.
+
     def try_extend_positive(self) -> bool:
-        return self._extend(self._start + self._length, positive=True)
-
-    def try_extend_negative(self) -> bool:
-        return self._extend(self._start - 1, positive=False)
-
-    def _extend(self, nxt: int, positive: bool) -> bool:
-        """Add the point at unwrapped index `nxt`, just past the positive
-        (negative) end."""
         self.calls += 1
         n1 = self.n_points
         length = self._length
-        # empty, a full turn already (never wrap past it), or past an open end
+        nxt = self._start + length
+        # empty, a full turn already (never wrap past it), or past the open end
         if not 0 < length < n1 or not (self._closed or 0 <= nxt < n1):
             return False
         idx = nxt % n1
-        if self._try_add(idx, self._points[idx], positive, self._closed and length + 1 == n1):
-            if not positive:
-                self._start = nxt
-            self._length += 1
+        if self._try_add(idx, self._points[idx], True, self._closed and length + 1 == n1):
+            self._length = length + 1
+            return True
+        return False
+
+    def try_extend_negative(self) -> bool:
+        self.calls += 1
+        n1 = self.n_points
+        length = self._length
+        nxt = self._start - 1
+        if not 0 < length < n1 or not (self._closed or 0 <= nxt < n1):
+            return False
+        idx = nxt % n1
+        if self._try_add(idx, self._points[idx], False, self._closed and length + 1 == n1):
+            self._start = nxt
+            self._length = length + 1
             return True
         return False
 
@@ -184,7 +192,9 @@ class DssRecognizer(Recognizer):
 
     Both ends of the core are the same operation seen from opposite sides,
     so each is written once and indexed by the end: 0 for the first core
-    point, 1 for the last.  Steps are read in core order, first to last.
+    point, 1 for the last.  Each hook is one frame, apart from the line
+    turns, and the band width w is stored beside (a, b, mu).  Steps are read
+    in core order, first to last.
     A core with two step directions accepts only those two; a core with one
     direction d accepts a step s iff s.d > 0 on 8-paths (d or an eighth
     turn) and s.d >= 0 on 4-paths (d or a quarter turn).
@@ -202,15 +212,14 @@ class DssRecognizer(Recognizer):
         self._counts: dict = {}
         self._core: deque = deque()
         self._chars = None  # (a, b, mu) or None while the core is a singleton
+        # the band width w of _chars, updated with it
+        self._width = 0
         # [Uf, Ul, Lf, Ll]: the upper leaning point at end e is _lean[e],
         # the lower one _lean[2 + e]
         self._lean = None
         self._steps: dict = {}  # step vector -> occurrences in the core
 
     # -- characteristics ----------------------------------------------------
-
-    def _omega(self, a: int, b: int) -> int:
-        return max(abs(a), abs(b)) if self._naive else abs(a) + abs(b)
 
     def characteristics(self) -> Optional[tuple[int, int, int]]:
         """Current (a, b, mu), sign-normalized to a >= 0 (b > 0 when a == 0).
@@ -221,8 +230,7 @@ class DssRecognizer(Recognizer):
             return None
         a, b, mu = self._chars
         if a < 0 or (a == 0 and b < 0):
-            om = self._omega(a, b)
-            a, b, mu = -a, -b, -mu - om + 1
+            a, b, mu = -a, -b, -mu - self._width + 1
         return (a, b, mu)
 
     # -- hooks ---------------------------------------------------------------
@@ -245,14 +253,70 @@ class DssRecognizer(Recognizer):
             return True
         # a new point must be adjacent to a core end, which it then extends
         core = self._core
-        units = self._units
-        last = core[-1]
-        if (p[0] - last[0], p[1] - last[1]) in units and self._core_extend(p, True):
+        x, y = p
+        if self._chars is None:
+            # the first step: the line through both points, of width 1
+            q = core[0]
+            step = (x - q[0], y - q[1])
+            if step not in self._units:
+                return False
+            a, b = step[1], step[0]
+            self._chars = (a, b, a * q[0] - b * q[1])
+            self._width = 1
+            self._lean = [q, p, q, p]
+            self._steps = {step: 1}
+            core.append(p)
             counts[p] = 1
             return True
-        first = core[0]
-        if (len(core) > 1 and (first[0] - p[0], first[1] - p[1]) in units
-                and self._core_extend(p, False)):
+
+        a, b, mu = self._chars
+        om = self._width
+        r = a * x - b * y
+        if not mu - 1 <= r <= mu + om:
+            return False  # no end can take a point this far off the band
+        steps = self._steps
+        lean = self._lean
+        for end in (1, 0):  # the last core point first, then the first
+            if end:
+                q = core[-1]
+                step = (x - q[0], y - q[1])
+            else:
+                q = core[0]
+                step = (q[0] - x, q[1] - y)
+            # the step must be a unit step next to the core's only direction
+            # (see the class docstring), or one of its two directions
+            if len(steps) == 1:
+                (d,) = steps
+                dot = step[0] * d[0] + step[1] * d[1]
+                if step not in self._units or dot < 0 or (dot == 0 and self._naive):
+                    continue
+            elif step not in steps:
+                continue
+            if mu <= r < mu + om:
+                if r == mu:
+                    lean[end] = p
+                if r == mu + om - 1:
+                    lean[2 + end] = p
+            else:
+                # p lies just above (below) the band: the line turns about
+                # the upper (lower) leaning point at the far end, and the
+                # lower (upper) leaning point at p's end is the only one of
+                # its kind that survives, so it becomes the one at both ends.
+                upper = r < mu
+                same = 0 if upper else 2
+                other = 2 - same
+                witness = lean[other + end]
+                new = self._slope_through(p, lean[same + 1 - end], witness, upper)
+                if new is None:
+                    continue
+                self._chars, self._width = new
+                lean[same + end] = p
+                lean[other + 1 - end] = witness
+            count = steps.get(step, 0)
+            steps[step] = count + 1
+            if not count and len(steps) > 2:
+                raise AssertionError("segment core acquired a third step direction")
+            core.append(p) if end else core.appendleft(p)
             counts[p] = 1
             return True
         return False
@@ -266,30 +330,25 @@ class DssRecognizer(Recognizer):
         del counts[p]
         # A point whose last occurrence leaves the interval is always a
         # geometric extremity: interior columns/rows stay visited as long
-        # as the interval spans both sides of them.
+        # as the interval spans both sides of them.  `anchor` is its
+        # neighbour in the core, and `sign` * (b, a) the period pointing
+        # inward from its core end: +1 at the first end, -1 at the last.
         core = self._core
         if core[0] == p:
             core.popleft()
-            self._retract(p, core[0], 0, 1)
+            anchor, end, sign = core[0], 0, 1
         elif core[-1] == p:
             core.pop()
-            self._retract(p, core[-1], 1, -1)
+            anchor, end, sign = core[-1], 1, -1
         else:
             raise AssertionError(f"removed point {p} is interior to the segment core")
-
-    # -- core maintenance -----------------------------------------------------
-
-    def _retract(self, p: Point, anchor: Point, end: int, sign: int) -> None:
-        """Update the state after extremity p, whose neighbour in the core is
-        `anchor`, left core end `end`.  `sign` * (b, a) is the period pointing
-        inward from that end: +1 at the first end, -1 at the last."""
         step = (sign * (anchor[0] - p[0]), sign * (anchor[1] - p[1]))
         steps = self._steps
         if steps[step] == 1:
             del steps[step]
         else:
             steps[step] -= 1
-        if len(self._core) == 1:
+        if len(core) == 1:
             self._chars = None
             self._lean = None
             return
@@ -302,15 +361,16 @@ class DssRecognizer(Recognizer):
         inward = (p[0] + sign * b, p[1] + sign * a)
         if p == u and u_far == inward and l == l_far:
             self._turn(u_far, l, sign)
-            return
-        if p == l and l_far == inward and u == u_far:
+        elif p == l and l_far == inward and u == u_far:
             self._turn(u, l_far, -sign)
-            return
-        # still two leaning points of one kind: the line stays pinned
-        if p == u:
-            lean[end] = inward
-        if p == l:
-            lean[2 + end] = inward
+        else:
+            # still two leaning points of one kind: the line stays pinned
+            if p == u:
+                lean[end] = inward
+            if p == l:
+                lean[2 + end] = inward
+
+    # -- core maintenance -----------------------------------------------------
 
     def _turn(self, up: Point, low: Point, sigma: int) -> None:
         """New characteristics (a', b', mu') once the core has one upper
@@ -340,6 +400,7 @@ class DssRecognizer(Recognizer):
         na = (a + sigma * ty) // det
         om = sx * nb + sy * na
         self._chars = (na, nb, na * up[0] - nb * up[1])
+        self._width = om
         first, last = self._core[0], self._core[-1]
         # the leaning points of each kind at the two core ends lie whole
         # periods (nb, na) back and ahead of the survivor q of that kind; a
@@ -352,84 +413,25 @@ class DssRecognizer(Recognizer):
             lean += [(q[0] - back * nb, q[1] - back * na), (q[0] + ahead * nb, q[1] + ahead * na)]
         self._lean = lean
 
-    def _core_extend(self, p: Point, front: bool) -> bool:
-        """Add p, adjacent to the core's last (front) or first (back) point,
-        if the core stays a DSS."""
-        core = self._core
-        anchor = core[-1] if front else core[0]
-        step = (p[0] - anchor[0], p[1] - anchor[1]) if front else (anchor[0] - p[0], anchor[1] - p[1])
-        if len(core) == 1:
-            a, b = step[1], step[0]
-            first, last = (anchor, p) if front else (p, anchor)
-            self._chars = (a, b, a * anchor[0] - b * anchor[1])
-            self._lean = [first, last, first, last]
-            self._steps = {step: 1}
-            core.append(p) if front else core.appendleft(p)
-            return True
-
-        # the step must be one of the core's two directions, or next to its
-        # only one (see the class docstring)
-        steps = self._steps
-        if len(steps) == 2:
-            if step not in steps:
-                return False
-        else:
-            (d,) = steps
-            dot = step[0] * d[0] + step[1] * d[1]
-            if dot < 0 or (dot == 0 and self._naive):
-                return False
-
-        a, b, mu = self._chars
-        om = self._omega(a, b)
-        r = a * p[0] - b * p[1]
-        lean = self._lean
-        end = 1 if front else 0
-
-        if mu <= r <= mu + om - 1:
-            if r == mu:
-                lean[end] = p
-            if r == mu + om - 1:
-                lean[2 + end] = p
-        elif r == mu - 1 or r == mu + om:
-            # p lies just above (below) the band: the line turns about the
-            # upper (lower) leaning point at the far end, and the lower
-            # (upper) leaning point at p's end is the only one of its kind
-            # that survives, so it becomes the one at both ends.
-            upper = r < mu
-            same = 0 if upper else 2
-            other = 2 - same
-            witness = lean[other + end]
-            new = self._slope_through(p, lean[same + 1 - end], witness, upper)
-            if new is None:
-                return False
-            self._chars = new
-            lean[same + end] = p
-            lean[other + 1 - end] = witness
-        else:
-            return False
-
-        steps[step] = steps.get(step, 0) + 1
-        if len(steps) > 2:
-            raise AssertionError("segment core acquired a third step direction")
-        core.append(p) if front else core.appendleft(p)
-        return True
-
     def _slope_through(self, p: Point, pivot: Point, witness: Point, upper: bool):
         """Characteristics of the line through p and pivot, oriented so that
-        they are upper (resp. lower) leaning and `witness` leans opposite."""
+        they are upper (resp. lower) leaning and `witness` leans opposite,
+        and the band width of that line."""
         dx, dy = p[0] - pivot[0], p[1] - pivot[1]
         g = math.gcd(dx, dy)
         if g == 0:
             return None
         dx //= g
         dy //= g
+        # both orientations have the same width
+        om = max(abs(dx), abs(dy)) if self._naive else abs(dx) + abs(dy)
         for sign in (1, -1):
             a, b = sign * dy, sign * dx
             rp = a * p[0] - b * p[1]
             rw = a * witness[0] - b * witness[1]
             # the band runs from the upper leaning point to the lower one
-            if (rw - rp if upper else rp - rw) == self._omega(a, b) - 1:
-                return (a, b, min(rp, rw))
+            if (rw - rp if upper else rp - rw) == om - 1:
+                return (a, b, min(rp, rw)), om
         return None
 
 
@@ -492,10 +494,12 @@ class MonotoneRecognizer(Recognizer):
             self._rising += rising
             self._falling += falling
             return True
-        prev = (self._start + self._length - 1) if positive else self._start
-        d = p[self.axis] - self._coord(prev)
-        if not positive:
-            d = -d
+        # the neighbour already in the interval, read inline; index - 1
+        # wraps by negative indexing
+        if positive:
+            d = p[self.axis] - self._points[index - 1][self.axis]
+        else:
+            d = self._points[(index + 1) % self.n_points][self.axis] - p[self.axis]
         if d > 0 and self._falling:
             return False
         if d < 0 and self._rising:
@@ -511,7 +515,7 @@ class MonotoneRecognizer(Recognizer):
             d_in = p[self.axis] - self._coord(index - 1)
             self._rising -= d_in > 0
             self._falling -= d_in < 0
-        d = self._coord(self._start + 1) - p[self.axis]
+        d = self._points[(index + 1) % self.n_points][self.axis] - p[self.axis]
         if d > 0:
             self._rising -= 1
         elif d < 0:

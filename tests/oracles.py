@@ -247,16 +247,22 @@ def dss_state(rec: DssRecognizer) -> tuple:
 
 def dss_replay(core_points, adjacency: Adjacency, front: bool = True) -> tuple:
     """The core part of `dss_state` (characteristics, leaning points, step
-    counts), rebuilt from scratch: a fresh recognizer is
-    reset to the first core point and extended at its front by each
-    following point in turn.  With `front=False` it is reset to the last
-    core point and extended at its back by each earlier point in turn."""
+    counts), rebuilt from scratch on a path of the core points, which are
+    distinct and adjacent: a fresh recognizer is reset to the first core
+    point and extended at its front by each following point in turn.  With
+    `front=False` it is extended at its back by each earlier point in turn.
+    A singleton's first step always lands at its last end, so that replay
+    starts from the last two core points, joined by one front extension."""
     pts = list(core_points)
     rec = DssRecognizer(DigitalPath(tuple(pts), closed=False, adjacency=adjacency))
-    rec.reset(0 if front else len(pts) - 1)
-    for q in (pts[1:] if front else pts[-2::-1]):
-        if not rec._core_extend(q, front):
-            raise AssertionError("core replay failed; recognizer state corrupt")
+    if front or len(pts) < 3:
+        rec.reset(0)
+        grown = all(rec.try_extend_positive() for _ in pts[1:])
+    else:
+        rec.reset(len(pts) - 2)
+        grown = rec.try_extend_positive() and all(rec.try_extend_negative() for _ in pts[2:])
+    if not grown or list(rec._core) != pts:
+        raise AssertionError("core replay failed; recognizer state corrupt")
     chars, lean, _, _ = dss_state(rec)
     steps = Counter((q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, pts[1:]))
     return chars, lean, dict(steps)

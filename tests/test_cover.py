@@ -142,16 +142,17 @@ def test_forward_on_digitized_circle_first_segment_handling():
 
 def test_dss_cover_extends_the_core_at_most_3_times_per_point(monkeypatch):
     """A timing-free linearity guard: a removal that replays the core makes
-    21, 44 and 64 extensions per point on these circles."""
-    extend = DssRecognizer._core_extend
+    21, 44 and 64 extensions per point on these circles.  It counts the
+    extension hook, so revisits of a point count too."""
+    extend = DssRecognizer._try_add
     calls = 0
 
-    def counted(self, p, front):
+    def counted(self, index, p, positive, closing):
         nonlocal calls
         calls += 1
-        return extend(self, p, front)
+        return extend(self, index, p, positive, closing)
 
-    monkeypatch.setattr(DssRecognizer, "_core_extend", counted)
+    monkeypatch.setattr(DssRecognizer, "_try_add", counted)
     for size in (1_000, 10_000, 30_000):
         path = synth.circle_path_of_size(size)
         calls = 0
@@ -178,21 +179,31 @@ def profile_events(fn, *args) -> Counter:
 
 
 @pytest.mark.parametrize("size, work, bound", [
-    (1_000, "dss cover", 20),
-    (10_000, "dss cover", 20),
+    (1_000, "dss cover", 9),
+    (10_000, "dss cover", 9),
+    (10_000, "dss walk cover", 12),
+    (10_000, "x_monotone walk cover", 10),
     (10_000, "path reader", 2),
 ])
 def test_python_calls_per_point_on_the_hot_paths(size, work, bound):
-    """A timing-free guard on the per-point constant: a DSS extension or
-    removal costs a handful of frames, and reading a path costs none per
-    point.  Counter misses, a helper call per adjacency test and a
+    """A timing-free guard on the per-point constant: an extension or a
+    removal costs one frame per hook, and reading a path costs none per
+    point.  The covers run on a circle, or on a seeded 8-walk where the
+    work names one.  Counter misses, a helper call per adjacency test and a
     generator per point entry made 28.7 and 24.7 calls per point for the
-    cover and 5.0 for the reader."""
-    path = synth.circle_path_of_size(size)
-    if work == "dss cover":
-        calls = profile_events(saturated_cover, path, PredicateSpec("dss"))["call"]
+    dss circle covers and 5.0 for the reader.  A frame for the shared
+    extension code, one per core change and band-width calls made 15.0 and
+    13.8 for those covers and 14.6 for the dss walk cover, and a
+    neighbour-reading helper made 12.5 for the x_monotone one; one frame
+    per hook reads 7.6, 6.6, 8.7 and 7.5."""
+    if "walk" in work:
+        path = synth.random_walk_path(size, Adjacency.EIGHT, seed=3)
     else:
+        path = synth.circle_path_of_size(size)
+    if work == "path reader":
         calls = profile_events(path_from_json, path_to_json(path))["call"]
+    else:
+        calls = profile_events(saturated_cover, path, PredicateSpec(work.split()[0]))["call"]
     assert calls <= bound * path.n_points, (work, path.n_points, calls / path.n_points)
 
 

@@ -144,7 +144,8 @@ def wandering_line_path(rng, n, adjacency):
 
 def test_dss_retraction_matches_replay():
     """After every removal, whichever core end it takes, and after every
-    extension, the recognizer's state equals the replay of its core, and
+    extension, the recognizer's state equals the replay of its core, its
+    stored band width is that of its characteristics by definition, and
     its multiplicities count the interval's points, whose distinct points
     are the core's."""
     rng = random.Random(2026)
@@ -176,6 +177,11 @@ def test_dss_retraction_matches_replay():
             *core_state, counts = dss_state(rec)
             assert tuple(core_state) == dss_replay(rec._core, path.adjacency), \
                 (path.points, rec.interval)
+            if rec._chars is not None:
+                a, b, _ = rec._chars
+                naive = path.adjacency is Adjacency.EIGHT
+                width = max(abs(a), abs(b)) if naive else abs(a) + abs(b)
+                assert rec._width == width, (path.points, rec.interval)
             assert counts == Counter(interval_points(path, rec.interval)), \
                 (path.points, rec.interval)
             assert sorted(counts) == sorted(rec._core), (path.points, rec.interval)
@@ -199,6 +205,56 @@ def test_dss_replays_at_either_end_agree():
 # ---------------------------------------------------------------------------
 # Recognizer contract
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.name)
+def test_extension_mechanics(spec):
+    """Both extensions refuse past an open path's ends and once a closed
+    path's interval is the full turn, and a negative extension past index 0
+    of a closed path wraps to its last index.  Every attempt, refused or
+    not, is one call, and a refusal leaves the interval as it was."""
+
+    def attempt(rec, positive):
+        calls, before = rec.calls, rec.interval
+        ok = rec.try_extend_positive() if positive else rec.try_extend_negative()
+        assert rec.calls == calls + 1
+        if not ok:
+            assert rec.interval == before
+        return ok
+
+    # runs along the axis that the predicate ignores, if any: it then holds
+    # on every interval that max_len allows
+    def run(coords, closed=False):
+        pts = tuple((c, 0) if spec.name == "y_monotone" else (0, c) for c in coords)
+        return DigitalPath(pts, closed=closed)
+
+    rec = make_recognizer(spec, run(range(5)))
+    rec.reset(0)
+    assert not attempt(rec, positive=False)
+    rec.reset(3)
+    assert attempt(rec, positive=True)
+    assert not attempt(rec, positive=True)
+    assert rec.interval == IndexInterval(3, 2)
+
+    rec = make_recognizer(spec, run((0, 1), closed=True))
+    rec.reset(0)
+    assert attempt(rec, positive=False)
+    assert rec.interval == IndexInterval(1, 2)
+    assert not attempt(rec, positive=False)
+    assert not attempt(rec, positive=True)
+
+    rec = make_recognizer(spec, run((0, 1, 2, 1), closed=True))
+    rec.reset(3)
+    assert attempt(rec, positive=True)
+    assert rec.interval == IndexInterval(3, 2)
+    rec.reset(0)
+    assert attempt(rec, positive=False)
+    assert attempt(rec, positive=False)
+    assert rec.interval == IndexInterval(2, 3)
+    if attempt(rec, positive=True):
+        assert rec.interval == IndexInterval(2, 4)
+        assert not attempt(rec, positive=True)
+        assert not attempt(rec, positive=False)
 
 
 @pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.name)

@@ -1,16 +1,20 @@
 """Checks on the repository around the program: the benchmark harness
 wraps program functions by name, and a function it names must exist, or
-only a traced benchmark run would notice; and the program has no runtime
+only a traced benchmark run would notice; the program has no runtime
 dependencies (`pyproject.toml` lists none), so it imports only the
-standard library and itself."""
+standard library and itself; and the layer-timing script runs and writes
+the keys its readers expect."""
 
 import ast
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
+BENCH_LAYERS = ROOT / "scripts" / "bench_layers.py"
 
 
 def _assigned(name: str):
@@ -30,17 +34,44 @@ def test_traced_spans_resolve():
             f"satcover.{module}.{attr}"
 
 
+def _imports(source: Path):
+    """(line, imported module names) of each absolute import in `source`."""
+    for node in ast.walk(ast.parse(source.read_text(), str(source))):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.lineno, [node.module]
+
+
 def test_program_imports_only_the_standard_library():
     sources = sorted((ROOT / "src" / "satcover").glob("*.py"))
     assert sources
     for source in sources:
-        for node in ast.walk(ast.parse(source.read_text(), str(source))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
+        for lineno, names in _imports(source):
             for name in names:
                 assert name.partition(".")[0] in sys.stdlib_module_names, \
-                    f"{source.name}:{node.lineno} imports {name}"
+                    f"{source.name}:{lineno} imports {name}"
+
+
+def test_bench_layers_smoke(tmp_path):
+    """One run on the 1k circle only, appended twice to the same file; no
+    timing is asserted."""
+    for lineno, names in _imports(BENCH_LAYERS):
+        for name in names:
+            top = name.partition(".")[0]
+            assert top in sys.stdlib_module_names or top == "satcover", f"{lineno}: {name}"
+    out = tmp_path / "BENCH_layers.json"
+    cmd = [sys.executable, str(BENCH_LAYERS), "--src", str(ROOT / "src"),
+           "--sizes", "1000", "--repeat", "1", "--out", str(out)]
+    for _ in range(2):
+        subprocess.run(cmd, check=True, capture_output=True, timeout=60)
+    runs = json.loads(out.read_text())
+    assert len(runs) == 2
+    run = runs[-1]
+    assert set(run) == {"revision", "python", "machine", "date", "repeat", "rows"}
+    assert [row["layer"] for row in run["rows"]] == \
+        ["cover.dss", "cover.max_len", "cover.bbox", "cover.x_monotone"]
+    for row in run["rows"]:
+        assert set(row) == {"layer", "params", "n", "us_per_point", "spread", "calls_per_point"}
+        assert len(row["n"]) == len(row["us_per_point"]) == len(row["calls_per_point"]) == 1
+        assert row["n"][0] > 900 and row["calls_per_point"][0] > 0
