@@ -84,11 +84,13 @@ def main() -> int:
     ap.add_argument("--repeat", type=int, default=5, help="runs per size; the best counts")
     ap.add_argument("--out", help="JSON file to append this run to")
     args = ap.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if args.repeat < 1 or not sizes or min(sizes) < 1:
-        ap.error("--repeat and every size must be positive")
-
+    sizes = args.sizes.split(",")
+    if args.repeat < 1 or not all(s.isdigit() and int(s) > 0 for s in sizes):
+        ap.error("--repeat and every size must be positive integers")
+    sizes = [int(s) for s in sizes]
     src = Path(args.src).resolve()
+    if not (src / "satcover" / "__init__.py").is_file():
+        ap.error(f"no satcover package under {src}")
     sys.path.insert(0, str(src))
     run = {
         "revision": git_revision(src),

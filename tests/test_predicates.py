@@ -251,7 +251,9 @@ def test_extension_mechanics(spec):
     assert attempt(rec, positive=False)
     assert attempt(rec, positive=False)
     assert rec.interval == IndexInterval(2, 3)
-    if attempt(rec, positive=True):
+    full = attempt(rec, positive=True)
+    assert full is (spec.name != "max_len")  # k = 3 refuses a fourth point
+    if full:
         assert rec.interval == IndexInterval(2, 4)
         assert not attempt(rec, positive=True)
         assert not attempt(rec, positive=False)
