@@ -80,8 +80,9 @@ def _seed(rec: Recognizer, t: int, limit: int) -> int:
     return t
 
 
-def _restart(rec: Recognizer, probe: Recognizer, q: int, limit: int) -> Optional[tuple[int, int]]:
-    """Move the window of `rec`, whose positive end is q - 1, on past q.
+def _restart(rec: Recognizer, probe: Recognizer, i: int, q: int,
+             limit: int) -> Optional[tuple[int, int]]:
+    """Move the window i .. q - 1 of `rec` on past q.
 
     When the singleton at q holds, shrink from the negative side until the
     extension to q holds again and return the new (start, end = q).
@@ -91,7 +92,6 @@ def _restart(rec: Recognizer, probe: Recognizer, q: int, limit: int) -> Optional
     if not probe.reset(q % rec.n_points):
         t = _seed(rec, q + 1, limit)
         return None if t >= limit else (t, t)
-    i = q - rec.length  # the window is i .. q - 1
     while i < q - 1:
         rec.remove_negative_end()
         i += 1
@@ -159,7 +159,7 @@ def _sweep(path: DigitalPath, spec: PredicateSpec, two_sided: bool) -> Saturated
         q = j + 1
         if q > last_q:
             break
-        window = _restart(rec, probe, q, limit)
+        window = _restart(rec, probe, i, q, limit)
         if window is None:
             break
         i, j = window

@@ -5,20 +5,20 @@ points (1), regular points (2) and branching points (>= 3); maximal
 connected sets of branching pixels are junctions.  Removing the junctions
 leaves simple open curves, which become the edges of a multigraph on
 end points and junctions.  The whole image is read from one neighbour
-code byte per integer pixel id: the chains of every component are walked
-at once, the pixels no walk reaches are lone pixels and pure cycles, and
-the components are those of the graph of junctions and end points joined
-by chains, so no search over the pixels finds them.  An Euler tour of
-each graph (after Chinese Postman edge duplication when needed) is
-flattened back to a pixel path; the first time a tour crosses a junction
-it takes a covering walk over every junction pixel, so the output path
-visits all foreground pixels.
+code byte per integer pixel id: each junction is grouped in the one pass
+over its pixels that finds its ports, the chains of every component are
+walked at once, the pixels no walk reaches are lone pixels and pure
+cycles, and the components are those of the graph of junctions and end
+points joined by chains, so no search over the pixels finds them.  An
+Euler tour of each graph (after Chinese Postman edge duplication when
+needed) is flattened back to a pixel path; the first time a tour crosses
+a junction it takes a covering walk over every junction pixel, so the
+output path visits all foreground pixels.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -42,42 +42,6 @@ class EmitError(TraceError):
     """A tour could not be flattened to a valid pixel path."""
 
 
-def _bfs(seed: Point, inside, adjacency: Adjacency) -> dict[Point, Optional[Point]]:
-    """Breadth-first search from seed through the pixels of `inside`, trying
-    neighbours in sorted order.  Returns the search-tree parent of every
-    reached pixel (None for the seed) in visit order, so each pixel's
-    children appear sorted."""
-    offsets = NEIGHBOUR_OFFSETS[adjacency]
-    parent: dict[Point, Optional[Point]] = {seed: None}
-    queue = deque([seed])
-    while queue:
-        u = queue.popleft()
-        x, y = u
-        for dx, dy in offsets:
-            q = (x + dx, y + dy)
-            if q in inside and q not in parent:
-                parent[q] = u
-                queue.append(q)
-    return parent
-
-
-def _connected_sets(pixels, adjacency: Adjacency) -> list[frozenset[Point]]:
-    """Connected subsets of `pixels`, sorted by their smallest pixel."""
-    out = []
-    seen: set[Point] = set()
-    for seed in sorted(pixels):
-        if seed not in seen:
-            comp = frozenset(_bfs(seed, pixels, adjacency))
-            seen |= comp
-            out.append(comp)
-    return out
-
-
-def components(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
-    """Connected components of the foreground, sorted by their smallest pixel."""
-    return _connected_sets(img.foreground, adjacency)
-
-
 # Tables over a neighbour code byte, whose bit k says that the neighbour at
 # the k-th offset of NEIGHBOUR_OFFSETS is foreground: the number of set bits
 # (the branching index) and the directions of the set bits, lowest first,
@@ -95,10 +59,10 @@ def _classify(pixels, adjacency: Adjacency):
     on every side, read column by column, so id order is tuple order and
     the neighbour at (dx, dy) is at id + dx * h2 + dy, with no wrap between
     columns.  Returns those id offsets in NEIGHBOUR_OFFSETS order, the code
-    of every id, the pixel of every id, the id of every branching pixel
-    (three or more neighbours) and the sorted ids of the tips (one)."""
+    of every id, the pixel of every id, and the sorted ids of the branching
+    pixels (three or more neighbours) and of the tips (one)."""
     if not pixels:
-        return (), {}, {}, {}, []
+        return (), {}, {}, [], []
     x0 = min(pixels)[0] - 1
     y0 = min(pixels, key=itemgetter(1))[1] - 1
     h2 = max(pixels, key=itemgetter(1))[1] - y0 + 2
@@ -115,13 +79,8 @@ def _classify(pixels, adjacency: Adjacency):
                 code[i] |= bit
                 code[j] |= back
     degree = bytes(code.values()).translate(_DEGREE)
-    branching = {point[i]: i for i in compress(code, map((3).__le__, degree))}
-    return offs, code, point, branching, sorted(compress(code, map((1).__eq__, degree)))
-
-
-def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
-    """Maximal connected sets of branching pixels, sorted by their smallest pixel."""
-    return _connected_sets(_classify(img.foreground, adjacency)[3], adjacency)
+    return (offs, code, point, sorted(compress(code, map((3).__le__, degree))),
+            sorted(compress(code, map((1).__eq__, degree))))
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +172,29 @@ def _curve_graphs(pixels, adjacency: Adjacency) -> list[CurveGraph]:
     pixels only where a vertex or an edge is built.
     """
     offs, code, point, branching, tips = _classify(pixels, adjacency)
-    junctions = _connected_sets(branching, adjacency)
-    junction_of = {branching[p]: jid for jid, j in enumerate(junctions) for p in j}
     flip = len(offs) - 1  # the step back from direction k (see `_classify`)
     steps = [(o, ~(1 << flip - k)) for k, o in enumerate(offs)]
     link = code.copy()
+    junction_of = dict.fromkeys(branching, -1)  # -1 until its junction is found
+    junctions = []
     ports = set()
-    for j in junction_of:
-        for k in _DIRECTIONS[code[j]]:
-            if (q := j + offs[k]) not in junction_of:
-                ports.add(q)
-                link[q] &= steps[k][1]
+    # one pass over the junction pixels: each junction grows breadth-first
+    # from its smallest id, and a neighbour that is not branching is a port,
+    # whose bit back to the junction is cleared
+    for seed in branching:
+        if junction_of[seed] < 0:
+            jid = junction_of[seed] = len(junctions)
+            blob = [seed]
+            for j in blob:
+                for k in _DIRECTIONS[code[j]]:
+                    if (q := j + offs[k]) not in junction_of:
+                        ports.add(q)
+                        link[q] &= steps[k][1]
+                    elif junction_of[q] < 0:
+                        junction_of[q] = jid
+                        blob.append(q)
+            blob.sort()
+            junctions.append(blob)
     chains = []
     far_ends: set[int] = set()
     # each chain is met first at its smaller end
@@ -234,7 +205,7 @@ def _curve_graphs(pixels, adjacency: Adjacency) -> list[CurveGraph]:
             chains.append(chain)
     chains.sort(key=min)
 
-    vertices = [Vertex("junction", tuple(sorted(j))) for j in junctions]
+    vertices = [Vertex("junction", tuple(map(point.__getitem__, j))) for j in junctions]
     vertices += [Vertex("end", (point[p],)) for p in tips]
     end_vertex = {p: vid for vid, p in enumerate(tips, len(junctions))}
 
@@ -300,6 +271,21 @@ def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
     if len(graphs) != 1:
         raise TraceError(_DISCONNECTED)
     return graphs[0]
+
+
+def components(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
+    """Connected components of the foreground, sorted by their smallest
+    pixel: the pixels of each curve graph's vertices and edges."""
+    return [frozenset().union(*[v.pixels for v in g.vertices], *[e.pixels for e in g.edges])
+            for g in _curve_graphs(img.foreground, adjacency)]
+
+
+def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
+    """Maximal connected sets of branching pixels, sorted by their smallest
+    pixel: the junction vertices of every curve graph."""
+    return [frozenset(pixels) for pixels in sorted(
+        v.pixels for g in _curve_graphs(img.foreground, adjacency) for v in g.vertices
+        if v.kind == "junction")]
 
 
 # ---------------------------------------------------------------------------
@@ -611,24 +597,32 @@ class Run:
     forward: bool
 
 
-def _route(parent: dict[Point, Optional[Point]], entry: Point, exit_: Point) -> list[Point]:
-    """Search-tree path from the search's seed `entry` to exit_."""
+def _junction_tree_walk(pixels: frozenset[Point], entry: Point, exit_: Point,
+                        adjacency: Adjacency, cover: bool = True) -> list[Point]:
+    """A walk through junction pixels from entry to exit_, from one
+    breadth-first search rooted at entry that tries neighbours in sorted
+    order.  Its spine is the search-tree path from entry to exit_; with
+    `cover`, the walk visits every pixel: a spanning-tree traversal that
+    descends the spine last and does not climb back out of it (at most
+    2*|pixels| points)."""
+    offsets = NEIGHBOUR_OFFSETS[adjacency]
+    parent: dict[Point, Optional[Point]] = {entry: None}
+    order = [entry]  # visit order; the search appends to it as it reads it
+    for u in order:
+        x, y = u
+        for dx, dy in offsets:
+            q = (x + dx, y + dy)
+            if q in pixels and q not in parent:
+                parent[q] = u
+                order.append(q)
     if exit_ not in parent:
         raise EmitError(f"junction pixels are not connected between {entry} and {exit_}")
-    route = [exit_]
-    while parent[route[-1]] is not None:
-        route.append(parent[route[-1]])
-    route.reverse()
-    return route
-
-
-def _junction_tree_walk(pixels: frozenset[Point], entry: Point, exit_: Point,
-                        adjacency: Adjacency) -> list[Point]:
-    """Walk visiting every junction pixel, starting at entry, ending at exit_:
-    a spanning-tree traversal that descends the entry-to-exit spine last and
-    does not climb back out of it (at most 2*|pixels| points)."""
-    parent = _bfs(entry, pixels, adjacency)
-    spine = _route(parent, entry, exit_)
+    spine = [exit_]
+    while parent[spine[-1]] is not None:
+        spine.append(parent[spine[-1]])
+    spine.reverse()
+    if not cover:
+        return spine
     spine_next = dict(zip(spine, spine[1:]))
     children: dict[Point, list[Point]] = {p: [] for p in parent}
     for q, u in parent.items():
@@ -701,7 +695,7 @@ def emit_path(g: CurveGraph, tour: list[Traversal]) -> tuple[DigitalPath, tuple[
                 exit_ = entry
             stream.extend(_junction_tree_walk(pixels, entry, exit_, adjacency))
         elif entry is not None and exit_ is not None:
-            stream.extend(_route(_bfs(entry, pixels, adjacency), entry, exit_))
+            stream.extend(_junction_tree_walk(pixels, entry, exit_, adjacency, cover=False))
 
     def _attach(pixels: frozenset[Point], outside: Point) -> Point:
         # the smallest junction pixel next to `outside`

@@ -19,6 +19,14 @@ return the same graph or raise the same exception type.
 pixels as plain frozensets, found from those per-pixel branching indices;
 the junction vertices of the graph builder must hold the same sets.
 
+`connected_sets_reference` is a flood fill on tuple pixels, written here
+and shared with no code it checks.  `components_reference` runs it on the
+foreground, and `find_junctions_reference` and `curve_graphs_reference`
+group the branching pixels with it.  `satcover.trace.components` and
+`satcover.trace.find_junctions` are read from the curve graphs of the
+builder on integer pixel ids, and must return the same sets in the same
+order.
+
 `curve_graphs_reference` is the whole-image graph builder on tuple pixels:
 a table of neighbour lists per pixel, and chains walked by testing each
 neighbour against the previous pixel and the junction pixels.  The builder
@@ -77,14 +85,7 @@ from satcover.paths import (
 )
 from satcover.pbm import BinaryImage, PbmError
 from satcover.predicates import DssRecognizer, PredicateSpec, make_recognizer
-from satcover.trace import (
-    CurveGraph,
-    Edge,
-    TraceError,
-    Vertex,
-    _connected_sets,
-    components,
-)
+from satcover.trace import CurveGraph, Edge, TraceError, Vertex
 
 
 def interval_points(path: DigitalPath, iv: IndexInterval) -> list[Point]:
@@ -466,9 +467,36 @@ def load_pbm_reference(data: bytes) -> BinaryImage:
     return BinaryImage(width, height, frozenset(fg))
 
 
+def connected_sets_reference(pixels, adjacency: Adjacency) -> list[frozenset[Point]]:
+    """Connected subsets of `pixels` by breadth-first flood fill on tuple
+    pixels, each from the smallest pixel no earlier fill reached, so they
+    come sorted by their smallest pixel."""
+    out = []
+    seen: set[Point] = set()
+    for seed in sorted(pixels):
+        if seed in seen:
+            continue
+        comp = {seed}
+        todo = [seed]
+        while todo:
+            p = todo.pop()
+            for q in neighbours(p, adjacency):
+                if q in pixels and q not in comp:
+                    comp.add(q)
+                    todo.append(q)
+        seen |= comp
+        out.append(frozenset(comp))
+    return out
+
+
+def components_reference(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
+    """Connected components of the foreground, sorted by their smallest pixel."""
+    return connected_sets_reference(img.foreground, adjacency)
+
+
 def find_junctions_reference(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
     branching = {p for p in img.foreground if branching_index(img, p, adjacency) >= 3}
-    return _connected_sets(branching, adjacency)
+    return connected_sets_reference(branching, adjacency)
 
 
 def _order_chain(comp: frozenset[Point], adjacency: Adjacency) -> tuple[list[Point], bool]:
@@ -513,7 +541,7 @@ def build_curve_graph_reference(img: BinaryImage, adjacency: Adjacency) -> Curve
     hold everything in between, so vertex pixels and edge pixels partition
     the foreground.
     """
-    comps = components(img, adjacency)
+    comps = components_reference(img, adjacency)
     if len(comps) != 1:
         raise TraceError(f"expected a single connected component, found {len(comps)}")
 
@@ -532,7 +560,7 @@ def build_curve_graph_reference(img: BinaryImage, adjacency: Adjacency) -> Curve
     chains = []
     if simplified:
         sub = BinaryImage(img.width, img.height, simplified)
-        chains = [_order_chain(comp, adjacency) for comp in components(sub, adjacency)]
+        chains = [_order_chain(comp, adjacency) for comp in components_reference(sub, adjacency)]
 
     # an end pixel (one foreground neighbour) can only be the end of an open chain
     chain_ends = {p for chain, cycle in chains if not cycle for p in (chain[0], chain[-1])}
@@ -649,7 +677,7 @@ def curve_graphs_reference(pixels, adjacency: Adjacency) -> list[CurveGraph]:
     """
     table = _neighbour_table(pixels, adjacency)
     branching, tips = _branching_and_tips(table)
-    junctions = _connected_sets(branching, adjacency)
+    junctions = connected_sets_reference(branching, adjacency)
     junction_of = {p: jid for jid, j in enumerate(junctions) for p in j}
     ports = {q for p in junction_of for q in table[p] if q not in junction_of}
     chains = []

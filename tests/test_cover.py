@@ -272,6 +272,19 @@ def test_profile_events_per_pixel_of_64_rings():
     assert events["c_call"] <= 3.5 * len(fg), events["c_call"] / len(fg)
 
 
+def test_profile_events_per_pixel_of_a_solid_bar():
+    """The same guard on a raster that is one junction: under 8-adjacency
+    every pixel of a solid 600 x 3 bar is branching, so the graph has no
+    edge and the trace is the covering walk of the junction.  Grouping the
+    junction by a flood fill on tuple pixels before the port pass over its
+    ids made 14.0 C calls per pixel; grouping it in the port pass, with the
+    walk's search on one list, reads 12.0."""
+    img = BinaryImage(600, 3, frozenset((x, y) for x in range(600) for y in range(3)))
+    events = profile_events(trace_image, img, Adjacency.EIGHT)
+    pixels = len(img.foreground)
+    assert events["c_call"] <= 13.5 * pixels, events["c_call"] / pixels
+
+
 def _comb_image(teeth: int, seed: int) -> BinaryImage:
     """A spine along the top row with one-pixel-wide teeth hanging from it at
     seeded gaps of 2-4 pixels, each 1-11 pixels long: under 4-adjacency a

@@ -54,8 +54,8 @@ def test_program_imports_only_the_standard_library():
 
 
 def test_bench_layers_smoke(tmp_path):
-    """One run on the 1k circle only, appended twice to the same file; no
-    timing is asserted."""
+    """One run on the 1k circle and the 1k rasters only, appended twice to
+    the same file; no timing is asserted."""
     for lineno, names in _imports(BENCH_LAYERS):
         for name in names:
             top = name.partition(".")[0]
@@ -70,8 +70,12 @@ def test_bench_layers_smoke(tmp_path):
     run = runs[-1]
     assert set(run) == {"revision", "python", "machine", "date", "repeat", "rows"}
     assert [row["layer"] for row in run["rows"]] == \
-        ["cover.dss", "cover.max_len", "cover.bbox", "cover.x_monotone"]
-    for row in run["rows"]:
+        ["cover.dss", "cover.max_len", "cover.bbox", "cover.x_monotone", "trace.ring", "trace.bar"]
+    for row in run["rows"][:4]:
         assert set(row) == {"layer", "params", "n", "us_per_point", "spread", "calls_per_point"}
         assert len(row["n"]) == len(row["us_per_point"]) == len(row["calls_per_point"]) == 1
         assert row["n"][0] > 900 and row["calls_per_point"][0] > 0
+    for row in run["rows"][4:]:
+        assert set(row) == {"layer", "n", "us_per_pixel", "spread"}
+        assert len(row["n"]) == len(row["us_per_pixel"]) == 1
+        assert row["n"][0] > 900

@@ -9,6 +9,7 @@ from oracles import (
     blocks_reference,
     branching_index,
     build_curve_graph_reference,
+    components_reference,
     curve_graphs_reference,
     find_junctions_reference,
     min_matching_weight,
@@ -196,7 +197,7 @@ def test_curve_graph_matches_reference(adjacency):
     checked = rejected = 0
     for img in images:
         assert find_junctions(img, adjacency) == find_junctions_reference(img, adjacency)
-        comps = components(img, adjacency)
+        comps = components_reference(img, adjacency)
         refused = (_outcome(build_curve_graph, img, adjacency)
                    == (TraceError, "expected a single connected component"))
         assert refused == (len(comps) != 1)
@@ -333,7 +334,7 @@ def test_eulerize_pairs_like_the_reference():
         multigraphs = _random_multigraphs(seed=17)
         for img in _random_images(100_000, seed=13):
             for adjacency in (FOUR, EIGHT):
-                for comp in components(img, adjacency):
+                for comp in components_reference(img, adjacency):
                     if len(comp) > 1:
                         yield "image", build_curve_graph(BinaryImage(img.width, img.height, comp),
                                                          adjacency)
@@ -655,7 +656,7 @@ def _mixed_images(count: int, seed: int):
 
 def _per_component(img, adjacency):
     return [trace_component(BinaryImage(img.width, img.height, comp), adjacency)
-            for comp in components(img, adjacency)]
+            for comp in components_reference(img, adjacency)]
 
 
 def _kind(tr) -> str:
@@ -676,7 +677,7 @@ def test_trace_image_equals_per_component_traces(adjacency):
     images = list(_mixed_images(2400, seed=29)) + [fixture_image(n) for n in sorted(ALL_FIXTURES)]
     seen: Counter = Counter()
     for img in images:
-        comps = components(img, adjacency)
+        comps = components_reference(img, adjacency)
         whole = _outcome(trace_image, img, adjacency)
         assert whole == _outcome(_per_component, img, adjacency), img
         if not isinstance(whole, list):  # both routes refused alike
@@ -727,7 +728,7 @@ def test_small_scope_rasters(adjacency):
     for mask in masks:
         fg = frozenset(c for i, c in enumerate(_CELLS) if mask >> i & 1)
         img = BinaryImage(_SIDE, _SIDE, fg)
-        comps = components(img, adjacency)
+        comps = components_reference(img, adjacency)
         traces = trace_image(img, adjacency)
         assert len(traces) == len(comps)
         covered = set()
@@ -766,23 +767,64 @@ def _far_bordered_images(count: int, seed: int):
         yield frozenset((ox + x, oy + y) for x, y in fg)
 
 
-@pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
-def test_curve_graphs_equal_the_tuple_builder(adjacency):
-    """The builder on integer pixel ids and neighbour code bytes returns the
-    graphs of the tuple builder it replaced, in the same order: on the
-    2,400-image corpus and the fixtures, on every 4x4 raster up to symmetry,
-    and on images with foreground on all four sides far from the origin."""
+@lru_cache(maxsize=None)
+def _differential_images() -> tuple[frozenset, ...]:
+    """The foregrounds of the 2,400-image corpus and the fixtures, of every
+    4x4 raster up to symmetry, and of 1,500 images with foreground on all
+    four sides far from the origin."""
     images = [img.foreground for img in _mixed_images(2400, seed=29)]
     images += [fixture_image(n).foreground for n in sorted(ALL_FIXTURES)]
     images += [frozenset(c for i, c in enumerate(_CELLS) if mask >> i & 1)
                for mask in _square_class_masks()]
     images += list(_far_bordered_images(1500, seed=41))
+    return tuple(images)
+
+
+@pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
+def test_curve_graphs_equal_the_tuple_builder(adjacency):
+    """The builder on integer pixel ids and neighbour code bytes returns the
+    graphs of the tuple builder it replaced, in the same order, on every
+    image of `_differential_images`."""
     kinds: Counter = Counter()
-    for fg in images:
+    for fg in _differential_images():
         graphs = _curve_graphs(fg, adjacency)
         assert graphs == curve_graphs_reference(fg, adjacency), sorted(fg)
         kinds.update(v.kind for g in graphs for v in g.vertices)
     assert min(kinds[k] for k in ("end", "junction", "cycle")) >= 1000, kinds
+
+
+@pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
+def test_components_and_junctions_equal_the_flood_fill(adjacency):
+    """`components` and `find_junctions`, which are read from the curve
+    graphs, return the sets of the oracles' flood fill in the same order, on
+    every image of `_differential_images`."""
+    seen: Counter = Counter()
+    for fg in _differential_images():
+        img = BinaryImage(max((x for x, _ in fg), default=0) + 1,
+                          max((y for _, y in fg), default=0) + 1, fg)
+        comps = components(img, adjacency)
+        assert comps == components_reference(img, adjacency), sorted(fg)
+        junctions = find_junctions(img, adjacency)
+        assert junctions == find_junctions_reference(img, adjacency), sorted(fg)
+        seen["multi-component"] += len(comps) > 1
+        seen["several junctions"] += len(junctions) > 1
+    assert min(seen.values()) >= 1000, seen
+
+
+@pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
+def test_curve_graphs_ignore_the_input_order(adjacency):
+    """The same pixels as a frozenset, as a list in scan order (row by row)
+    and as its reverse give the same graphs: junctions are seeded in sorted
+    id order, never in the order the pixels arrive.  On the fixtures, the
+    mixed corpus and a solid bar."""
+    images = [fixture_image(n).foreground for n in sorted(ALL_FIXTURES)]
+    images += [img.foreground for img in _mixed_images(2400, seed=29)]
+    images.append(frozenset((x, y) for x in range(300) for y in range(3)))
+    for fg in images:
+        scan = sorted(fg, key=lambda p: (p[1], p[0]))
+        graphs = _curve_graphs(fg, adjacency)
+        assert _curve_graphs(scan, adjacency) == graphs, scan
+        assert _curve_graphs(scan[::-1], adjacency) == graphs, scan
 
 
 def test_all_branching_blob_covered():
