@@ -37,16 +37,28 @@ def _positive(option: str, value: int, least: int = 1) -> int:
 
 
 def _atomic_write(path: FsPath, data: str | bytes) -> None:
+    """Write `data` to `path` through a temporary file beside it; an OSError
+    names `path`, not the temporary file, which never stays behind."""
     mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def _emit(doc: str, output) -> None:
+    """Write a document to the file `output`, or to stdout when there is none."""
+    if output:
+        _atomic_write(FsPath(output), doc)
+    else:
+        sys.stdout.write(doc)
 
 
 def _dump(doc) -> str:
@@ -70,8 +82,6 @@ def _parse_params(items) -> dict:
 
 
 def _spec_from_args(args) -> PredicateSpec:
-    if not args.predicate:
-        raise PredicateError("a predicate is required (--predicate NAME)")
     if any(info.name == args.predicate and not info.conservative for info in list_predicates()):
         raise PredicateError(f"predicate {args.predicate!r} is not conservative; "
                              "covers need a conservative predicate")
@@ -91,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--out-dir", default=None, help="output directory (default: alongside input)")
     p_trace.add_argument("--emit-graph", action="store_true", help="also write curve-graph JSON")
     p_trace.add_argument("--svg", default=None, help="render image, junctions and paths to SVG")
+    p_trace.set_defaults(run=_cmd_trace)
 
     p_cover = sub.add_parser("cover", help="saturated cover of a path JSON")
     p_cover.add_argument("path", help="path JSON file")
@@ -101,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cross-check against the brute-force cover; nonzero exit on mismatch")
     p_cover.add_argument("--svg", default=None, help="render path, segments and arc diagram")
     p_cover.add_argument("-o", "--output", default=None, help="write cover JSON here (default stdout)")
+    p_cover.set_defaults(run=_cmd_cover)
 
     p_graph = sub.add_parser("graph", help="circular-arc graph of a cover")
     p_graph.add_argument("path", help="path JSON file")
@@ -109,12 +121,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--forward", action="store_true", help="use the forward-only sweep")
     p_graph.add_argument("--dot", default=None, help="also write Graphviz DOT here")
     p_graph.add_argument("-o", "--output", default=None)
+    p_graph.set_defaults(run=_cmd_graph)
 
     p_verify = sub.add_parser("verify", help="run the randomized invariant suite")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--count", type=int, default=120, help="number of random paths")
     p_verify.add_argument("--max-points", type=int, default=120)
     p_verify.add_argument("--trials", type=int, default=10_000, help="conservativity trials")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_probe = sub.add_parser("probe", help="predicate-call counts across path sizes")
     p_probe.add_argument("--predicate", required=True)
@@ -129,28 +143,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="generate closed walks (circles are always closed)")
     p_probe.add_argument("--seed", type=int, default=0)
     p_probe.add_argument("-o", "--output", default=None)
+    p_probe.set_defaults(run=_cmd_probe)
     return parser
 
 
 def _cmd_trace(args) -> int:
     src = FsPath(args.image)
-    try:
-        img = load_pbm(src.read_bytes())
-    except OSError as exc:
-        print(f"error: cannot read {src}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except PbmError as exc:
-        print(f"error: malformed PBM: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    adjacency = Adjacency.from_code(args.adjacency)
-    try:
-        traces = trace_image(img, adjacency)
-    except OddVerticesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CPP_CAP
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    img = load_pbm(src.read_bytes())
+    traces = trace_image(img, Adjacency.from_code(args.adjacency))
     out_dir = FsPath(args.out_dir) if args.out_dir else src.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = src.stem
@@ -170,46 +170,34 @@ def _cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _load_path(file: str):
-    return path_from_json(FsPath(file).read_bytes())
+def _cover_of(args):
+    """The path, predicate spec and cover that `cover` and `graph` read from
+    `args`, on the route `--forward` picks."""
+    path = path_from_json(FsPath(args.path).read_bytes())
+    spec = _spec_from_args(args)
+    route = forward_cover if args.forward else saturated_cover
+    return path, spec, route(path, spec)
 
 
 def _cmd_cover(args) -> int:
-    path = _load_path(args.path)
-    spec = _spec_from_args(args)
-    cover = forward_cover(path, spec) if args.forward else saturated_cover(path, spec)
+    path, spec, cover = _cover_of(args)
     if args.oracle:
-        try:
-            oracle = brute_force_cover(path, spec)
-        except CoverCapError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
+        oracle = brute_force_cover(path, spec)
         if oracle.segments != cover.segments:
             print(f"oracle mismatch: sweep {list(cover.segments)} vs brute force "
                   f"{list(oracle.segments)}", file=sys.stderr)
             return EXIT_FAIL
-    doc = _dump(cover.to_json_dict())
-    if args.output:
-        _atomic_write(FsPath(args.output), doc)
-    else:
-        sys.stdout.write(doc)
     if args.svg:
         _atomic_write(FsPath(args.svg), render_cover_svg(path, cover))
+    _emit(_dump(cover.to_json_dict()), args.output)
     return EXIT_OK
 
 
 def _cmd_graph(args) -> int:
-    path = _load_path(args.path)
-    spec = _spec_from_args(args)
-    cover = forward_cover(path, spec) if args.forward else saturated_cover(path, spec)
-    graph = build_arc_graph(cover)
-    doc = _dump(graph.to_json_dict())
-    if args.output:
-        _atomic_write(FsPath(args.output), doc)
-    else:
-        sys.stdout.write(doc)
+    graph = build_arc_graph(_cover_of(args)[2])
     if args.dot:
         _atomic_write(FsPath(args.dot), graph.to_dot())
+    _emit(_dump(graph.to_json_dict()), args.output)
     return EXIT_OK
 
 
@@ -229,19 +217,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_probe(args) -> int:
     spec = _spec_from_args(args)
-    adjacency = Adjacency.from_code(args.adjacency)
+    # no digitized circle has fewer than 4 points
+    least = 4 if args.shape == "circle" else 1
     try:
-        # no digitized circle has fewer than 4 points
-        least = 4 if args.shape == "circle" else 1
         sizes = [_positive(f"--sizes entry for --shape {args.shape}", int(s), least)
                  for s in args.sizes.split(",") if s]
         if not sizes:
             raise UsageError("--sizes must list at least one positive integer")
-        factory = synth.shape_factory(args.shape, adjacency, seed=args.seed,
-                                      closed=args.closed)
+        factory = synth.shape_factory(args.shape, Adjacency.from_code(args.adjacency),
+                                      seed=args.seed, closed=args.closed)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise UsageError(str(exc)) from None
     rows = complexity_probe(spec, sizes, factory)
     print(f"{'n':>10} {'calls':>12} {'calls/n':>10} {'seconds':>10} {'us/n':>10}")
     for row in rows:
@@ -267,23 +253,16 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_BAD_INPUT
     try:
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "cover":
-            return _cmd_cover(args)
-        if args.command == "graph":
-            return _cmd_graph(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "probe":
-            return _cmd_probe(args)
-    except (PathFormatError, PredicateError, PbmError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    raise AssertionError(f"unhandled command {args.command}")
+        return args.run(args)
+    except OddVerticesError as exc:
+        code, message = EXIT_CPP_CAP, str(exc)
+    except PbmError as exc:
+        code, message = EXIT_BAD_INPUT, f"malformed PBM: {exc}"
+    except (OSError, PathFormatError, PredicateError, TraceError, CoverCapError,
+            UsageError) as exc:
+        code, message = EXIT_BAD_INPUT, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

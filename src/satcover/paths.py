@@ -64,16 +64,14 @@ class DigitalPath:
 
     The list is never empty, consecutive points are distinct, and for
     FOUR/EIGHT adjacency every consecutive pair (including the wrap pair
-    of a closed path) is adjacent.  Construction does not validate; use
-    :func:`validate_path`.
+    of a closed path) is adjacent.  `points` is a tuple of `(x, y)` tuples,
+    stored as given: construction neither converts nor validates; use
+    :func:`validate_path`, and :func:`path_from_json` for outside input.
     """
 
     points: tuple[Point, ...]
     closed: bool = False
     adjacency: Adjacency = Adjacency.EIGHT
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
 
     @property
     def n_points(self) -> int:
@@ -187,7 +185,7 @@ def path_from_json(text: str | bytes) -> DigitalPath:
         if (type(entry) is not list or len(entry) != 2
                 or type(entry[0]) is not int or type(entry[1]) is not int):
             raise PathFormatError(f"point {i} must be a pair of integers, got {entry!r}")
-    path = DigitalPath(raw, closed=doc["closed"], adjacency=adjacency)
+    path = DigitalPath(tuple(map(tuple, raw)), closed=doc["closed"], adjacency=adjacency)
     report = validate_path(path)
     if not report.ok:
         raise PathFormatError(f"invalid digital path: {report.message}")

@@ -138,6 +138,10 @@ def test_cover_oracle_and_forward_agree(tmp_path, capsys):
     assert main(["cover", str(src), "--predicate", "dss", "--forward", "--oracle"]) == 0
     fwd = capsys.readouterr().out
     assert json.loads(base)["segments"] == json.loads(fwd)["segments"]
+    big = write_path(tmp_path, synth.circle_path_of_size(600), "big.json")
+    assert main(["cover", str(big), "--predicate", "dss", "--oracle"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "above the brute-force cap 500" in err
 
 
 def test_cover_deterministic_output(tmp_path):
@@ -175,6 +179,12 @@ def test_cover_bad_predicate_exits_2(tmp_path, capsys):
         ["probe", "--predicate", "dss", "--shape", "circle", "--adjacency", "4", "--sizes", "100"],
         ["probe", "--predicate", "dss", "--shape", "circle", "--adjacency", "index",
          "--sizes", "100"],
+        ["cover", str(src), "--predicate", ""],
+        ["graph", str(src), "--predicate", ""],
+        ["probe", "--predicate", "", "--sizes", "10"],
+        ["trace", str(tmp_path / "missing.pbm")],
+        ["cover", str(tmp_path / "missing.json"), "--predicate", "dss"],
+        ["graph", str(tmp_path / "missing.json"), "--predicate", "dss"],
     ]
     for argv in refused:
         assert main(argv) == 2, argv
@@ -260,6 +270,16 @@ def test_graph_command(tmp_path, capsys):
     assert doc["nodes"] == [{"start": 0, "len": 3}, {"start": 1, "len": 3},
                             {"start": 2, "len": 3}]
     assert dot.read_text().startswith("graph cover {")
+    # an output in a missing directory, or onto a directory, is refused by
+    # its own name, and its temporary file does not stay behind
+    (tmp_path / "taken").mkdir()
+    for command in ("cover", "graph"):
+        for target in (tmp_path / "nodir" / "x.json", tmp_path / "taken"):
+            assert main([command, str(src), "--predicate", "dss", "-o", str(target)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: ") and f"'{target}'" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.dot", "path.json", "taken"]
+    assert list((tmp_path / "taken").iterdir()) == []
 
 
 def test_verify_passes(capsys):

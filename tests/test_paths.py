@@ -183,6 +183,14 @@ def test_path_json_roundtrip():
     assert path_to_json(back) == text
 
 
+def test_points_are_stored_as_given_and_parsed_to_tuples():
+    pts = ((0, 0), (1, 0), (1, 1))
+    assert DigitalPath(pts).points is pts
+    back = path_from_json(json.dumps({"closed": False, "adjacency": "8", "points": pts}))
+    assert type(back.points) is tuple and all(type(p) is tuple for p in back.points)
+    assert back.points == pts
+
+
 def test_path_json_rejections():
     with pytest.raises(PathFormatError):
         path_from_json("not json at all {")

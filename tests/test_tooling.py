@@ -2,8 +2,8 @@
 wraps program functions by name, and a function it names must exist, or
 only a traced benchmark run would notice; the program has no runtime
 dependencies (`pyproject.toml` lists none), so it imports only the
-standard library and itself; and the layer-timing script runs and writes
-the keys its readers expect."""
+standard library and itself, and every name it imports is read; and the
+layer-timing script runs and writes the keys its readers expect."""
 
 import ast
 import importlib
@@ -51,6 +51,24 @@ def test_program_imports_only_the_standard_library():
             for name in names:
                 assert name.partition(".")[0] in sys.stdlib_module_names, \
                     f"{source.name}:{lineno} imports {name}"
+
+
+def test_program_has_no_unused_imports():
+    """Every name a module of the program imports is read in that module;
+    `__init__.py` is left out, since its imports are the package's exports."""
+    sources = sorted(set((ROOT / "src" / "satcover").glob("*.py"))
+                     - {ROOT / "src" / "satcover" / "__init__.py"})
+    assert sources
+    for source in sources:
+        tree = ast.parse(source.read_text(), str(source))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    assert name in read, f"{source.name}:{node.lineno} imports {name} unread"
 
 
 def test_bench_layers_smoke(tmp_path):
