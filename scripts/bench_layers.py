@@ -14,6 +14,15 @@ pixels of the circle of each size, one cycle; `trace.bar` traces a solid
 bar of 3 rows and about as many pixels, all of them branching, so one
 junction and no edge.
 
+The raster rows start from P4 bytes.  `pbm.load` times `pbm.load_pbm` on
+a grid of 1k-pixel rings with about as many pixels as each size, per
+pixel and per cell of the image (a single 100k-pixel ring would need a
+box of over a billion cells).  `trace.pbm.ring`, `trace.pbm.bar` and
+`trace.pbm.comb` time what the `trace` command does without the disk:
+`load_pbm`, `trace_image` and `paths.path_to_json` of every component, per
+pixel, on that grid of rings, on the bar, and on a comb (a one-pixel spine
+with a 19-pixel tooth every 4 columns, whose junctions are small).
+
 The program is imported from --src (default ./src), so a second checkout
 can be measured in alternation with this one.  --out appends the run to a
 JSON list, with the git revision of --src, the Python version, the machine
@@ -26,6 +35,7 @@ and the date.
 import argparse
 import datetime
 import json
+import math
 import os
 import platform
 import subprocess
@@ -84,41 +94,119 @@ def cover_rows(sizes, repeat: int) -> list:
     return rows
 
 
+def best_seconds(cases: dict, repeat: int) -> dict:
+    """The best time of each case's call over `repeat` rounds, the cases
+    interleaved within each round."""
+    best = {}
+    for _ in range(repeat):
+        for key, call in cases.items():
+            t0 = time.perf_counter()
+            call()
+            seconds = time.perf_counter() - t0
+            best[key] = min(best.get(key, seconds), seconds)
+    return best
+
+
+def per_pixel_row(layer: str, n: list, seconds: list) -> dict:
+    us = [1e6 * s / pixels for s, pixels in zip(seconds, n)]
+    return {"layer": layer, "n": n, "us_per_pixel": [round(u, 3) for u in us],
+            "spread": round(max(us) / min(us), 3)}
+
+
+def moved_in(pixels) -> tuple:
+    """The size of the image that holds `pixels` moved to touch its top and
+    left borders, and the moved pixels."""
+    x0 = min(x for x, _ in pixels)
+    y0 = min(y for _, y in pixels)
+    fg = frozenset((x - x0, y - y0) for x, y in pixels)
+    return max(x for x, _ in fg) + 1, max(y for _, y in fg) + 1, fg
+
+
+def ring_grid(size: int) -> tuple:
+    """About `size` pixels as a square grid of 1k-pixel rings, 2 cells
+    apart."""
+    from satcover import synth
+
+    w, h, ring = moved_in(synth.circle_path_of_size(1_000).points)
+    count = max(1, round(size / len(ring)))
+    side = math.isqrt(count - 1) + 1
+    fg = frozenset((x + (w + 2) * (k % side), y + (h + 2) * (k // side))
+                   for k in range(count) for x, y in ring)
+    return side * (w + 2) - 2, (count - 1) // side * (h + 2) + h, fg
+
+
+def bar(size: int) -> tuple:
+    """A solid bar of 3 rows and about `size` pixels."""
+    width = max(1, size // 3)
+    return width, 3, frozenset((x, y) for x in range(width) for y in range(3))
+
+
+def comb(size: int) -> tuple:
+    """A one-pixel spine along the top row with a 19-pixel tooth every 4
+    columns, about `size` pixels."""
+    teeth = max(1, size // 23)
+    fg = {(x, 0) for x in range(4 * teeth)}
+    fg.update((4 * i + 2, y) for i in range(teeth) for y in range(1, 20))
+    return 4 * teeth, 20, frozenset(fg)
+
+
+def p4(width: int, height: int, fg) -> bytes:
+    """The P4 file of the image, set pixel by pixel (`pbm.dump_p4` visits
+    every cell in Python, which is slow on millions of cells)."""
+    row_bytes = (width + 7) // 8
+    raster = bytearray(row_bytes * height)
+    for x, y in fg:
+        raster[y * row_bytes + (x >> 3)] |= 0x80 >> (x & 7)
+    return b"P4\n%d %d\n" % (width, height) + bytes(raster)
+
+
 def trace_rows(sizes, repeat: int) -> list:
     from satcover import synth
     from satcover.paths import Adjacency
     from satcover.pbm import BinaryImage
     from satcover.trace import trace_image
 
-    def image(pixels) -> BinaryImage:
-        x0 = min(x for x, _ in pixels)
-        y0 = min(y for _, y in pixels)
-        fg = frozenset((x - x0, y - y0) for x, y in pixels)
-        return BinaryImage(max(x for x, _ in fg) + 1, max(y for _, y in fg) + 1, fg)
-
     images = {}
     for size in sizes:
-        images["trace.ring", size] = image(synth.circle_path_of_size(size).points)
-        images["trace.bar", size] = image([(x, y) for x in range(max(1, size // 3))
-                                           for y in range(3)])
-    best = {}
-    for _ in range(repeat):
-        for key, img in images.items():
-            t0 = time.perf_counter()
-            trace_image(img, Adjacency.EIGHT)
-            seconds = time.perf_counter() - t0
-            best[key] = min(best.get(key, seconds), seconds)
+        images["trace.ring", size] = BinaryImage(*moved_in(synth.circle_path_of_size(size).points))
+        images["trace.bar", size] = BinaryImage(*bar(size))
+    best = best_seconds({key: lambda img=img: trace_image(img, Adjacency.EIGHT)
+                         for key, img in images.items()}, repeat)
     rows = []
     for layer in ("trace.ring", "trace.bar"):
-        n = [len(images[layer, size].foreground) for size in sizes]
-        us = [1e6 * best[layer, size] / pixels for size, pixels in zip(sizes, n)]
-        rows.append({
-            "layer": layer,
-            "n": n,
-            "us_per_pixel": [round(u, 3) for u in us],
-            "spread": round(max(us) / min(us), 3),
-        })
+        rows.append(per_pixel_row(layer, [len(images[layer, size].foreground) for size in sizes],
+                                  [best[layer, size] for size in sizes]))
     return rows
+
+
+def raster_rows(sizes, repeat: int) -> list:
+    from satcover.paths import Adjacency, path_to_json
+    from satcover.pbm import load_pbm
+    from satcover.trace import trace_image
+
+    def traced(data: bytes) -> list:
+        return [path_to_json(tr.path) for tr in trace_image(load_pbm(data), Adjacency.EIGHT)]
+
+    shapes = {"ring": ring_grid, "bar": bar, "comb": comb}
+    rasters = {}  # (shape, size) -> (P4 bytes, pixels, cells)
+    for size in sizes:
+        for shape, make in shapes.items():
+            w, h, fg = make(size)
+            rasters[shape, size] = (p4(w, h, fg), len(fg), w * h)
+    cases = {("pbm.load", size): lambda data=rasters["ring", size][0]: load_pbm(data)
+             for size in sizes}
+    cases.update({(f"trace.pbm.{shape}", size): lambda data=data: traced(data)
+                  for (shape, size), (data, _, _) in rasters.items()})
+    best = best_seconds(cases, repeat)
+    rings = [rasters["ring", size] for size in sizes]
+    load = per_pixel_row("pbm.load", [pixels for _, pixels, _ in rings],
+                         [best["pbm.load", size] for size in sizes])
+    load["cells"] = [cells for _, _, cells in rings]
+    load["ns_per_cell"] = [round(1e9 * best["pbm.load", size] / cells, 3)
+                           for size, (_, _, cells) in zip(sizes, rings)]
+    return [load] + [per_pixel_row(f"trace.pbm.{shape}", [rasters[shape, size][1] for size in sizes],
+                                   [best[f"trace.pbm.{shape}", size] for size in sizes])
+                     for shape in shapes]
 
 
 def main() -> int:
@@ -144,13 +232,17 @@ def main() -> int:
                     "cpus": os.cpu_count()},
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "repeat": args.repeat,
-        "rows": cover_rows(sizes, args.repeat) + trace_rows(sizes, args.repeat),
+        "rows": (cover_rows(sizes, args.repeat) + trace_rows(sizes, args.repeat)
+                 + raster_rows(sizes, args.repeat)),
     }
     print(f"revision {run['revision']}, Python {run['python']}, best of {args.repeat}")
     for row in run["rows"]:
         if "us_per_pixel" in row:
             us = " / ".join(f"{u:.2f}" for u in row["us_per_pixel"])
-            print(f"{row['layer']:<18} us/pixel {us}  spread {row['spread']:.2f}")
+            cells = ""
+            if "ns_per_cell" in row:
+                cells = "  ns/cell " + " / ".join(f"{c:.2f}" for c in row["ns_per_cell"])
+            print(f"{row['layer']:<18} us/pixel {us}  spread {row['spread']:.2f}{cells}")
             continue
         us = " / ".join(f"{u:.2f}" for u in row["us_per_point"])
         calls = " / ".join(f"{c:.2f}" for c in row["calls_per_point"])

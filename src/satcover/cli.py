@@ -151,22 +151,27 @@ def _cmd_trace(args) -> int:
     src = FsPath(args.image)
     img = load_pbm(src.read_bytes())
     traces = trace_image(img, Adjacency.from_code(args.adjacency))
-    out_dir = FsPath(args.out_dir) if args.out_dir else src.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = src.stem
-    for i, tr in enumerate(traces):
-        target = out_dir / f"{stem}_c{i}.json"
-        _atomic_write(target, path_to_json(tr.path) + "\n")
-        print(target)
-        if args.emit_graph and tr.graph is not None:
-            gtarget = out_dir / f"{stem}_c{i}.graph.json"
-            _atomic_write(gtarget, _dump(tr.graph.to_json_dict()))
-            print(gtarget)
+    # the side file first, as `cover` and `graph` write theirs, and the
+    # listing only once every file is written
     if args.svg:
         junction_pixels = {p for tr in traces if tr.graph is not None
                            for v in tr.graph.vertices if v.kind == "junction" for p in v.pixels}
         svg = render_trace_svg(img, junction_pixels, [tr.path for tr in traces])
         _atomic_write(FsPath(args.svg), svg)
+    out_dir = FsPath(args.out_dir) if args.out_dir else src.parent
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stem = src.stem
+    written = []
+    for i, tr in enumerate(traces):
+        target = out_dir / f"{stem}_c{i}.json"
+        _atomic_write(target, path_to_json(tr.path) + "\n")
+        written.append(target)
+        if args.emit_graph and tr.graph is not None:
+            gtarget = out_dir / f"{stem}_c{i}.graph.json"
+            _atomic_write(gtarget, _dump(tr.graph.to_json_dict()))
+            written.append(gtarget)
+    for target in written:
+        print(target)
     return EXIT_OK
 
 

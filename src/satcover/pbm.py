@@ -2,12 +2,19 @@
 
 Foreground pixels are the 1-bits.  Coordinates are image coordinates:
 origin top-left, x rightward, y downward, row-major storage.
+
+Each foreground pixel (x, y) also has an integer id, (x + 1) * (height + 2)
++ y + 1: its cell number, column by column, in the image padded by one cell
+on every side.  So id order is tuple order, and the neighbour at (dx, dy)
+is at id + dx * (height + 2) + dy, with no wrap between columns.  The
+decoder numbers the pixels as it reads them; the trace reads those ids.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 from .paths import Point
 
@@ -21,6 +28,9 @@ class BinaryImage:
     width: int
     height: int
     foreground: frozenset[Point]
+    # each foreground pixel by its id, in scan order when decoded (see `_ids`)
+    _point: Optional[dict[int, Point]] = field(default=None, init=False, compare=False,
+                                               repr=False)
 
     def __post_init__(self):
         for x, y in self.foreground:
@@ -29,6 +39,31 @@ class BinaryImage:
 
     def __contains__(self, p: Point) -> bool:
         return p in self.foreground
+
+    def _ids(self) -> dict[int, Point]:
+        """Each foreground pixel by its id (see the module docstring).  The
+        decoder makes this map as it reads; an image built from a pixel set
+        makes it here, on first use."""
+        if self._point is None:
+            object.__setattr__(self, "_point", _id_map(self.foreground, self.height + 2))
+        return self._point
+
+
+def _id_map(pixels, stride: int) -> dict[int, Point]:
+    """`pixels` by the id (x + 1) * stride + y + 1, in the order given.  Ids
+    keep tuple order, and neighbours are dx * stride + dy apart with no wrap
+    between columns, whenever stride is at least max y - min y + 3."""
+    return {(x + 1) * stride + y + 1: (x, y) for x, y in pixels}
+
+
+def _decoded(width: int, height: int, point: dict[int, Point]) -> BinaryImage:
+    """The image of the pixels in `point`, keyed by their ids.  The decoder
+    has placed every pixel inside the image, so no bounds loop runs."""
+    img = object.__new__(BinaryImage)
+    for name, value in (("width", width), ("height", height),
+                        ("foreground", frozenset(point.values())), ("_point", point)):
+        object.__setattr__(img, name, value)
+    return img
 
 
 # One header token after any whitespace and '#' comments.  A comment runs
@@ -69,20 +104,28 @@ def load_pbm(data: bytes) -> BinaryImage:
         raise PbmError(f"dimensions must be positive, got {width}x{height}")
 
     start = head.end()
+    # each pixel by its id, in scan order; the divmod by the width (P1) or
+    # a test on every bit (P4) keeps x < width, and the length of the pixel
+    # data bounds y
+    point: dict[int, Point] = {}
+    stride = height + 2
     if magic == b"P1":
         body = data[start:]
         if b"#" in body:
             body = _COMMENT.sub(b"", body)
-        body = body.translate(None, _WHITESPACE)
-        if body.translate(None, b"01"):
+        if body.translate(None, b"01" + _WHITESPACE):
             raise PbmError("P1 pixels must be 0 or 1")
+        # one replace per whitespace byte present: faster than a translate
+        # that deletes, which visits every byte in a slower loop
+        for ws in _WHITESPACE:
+            if ws in body:
+                body = body.replace(bytes((ws,)), b"")
         if len(body) != width * height:
             raise PbmError(f"expected {width * height} pixels, got {len(body)}")
-        fg = []
         pos = body.find(b"1")
         while pos >= 0:
             y, x = divmod(pos, width)
-            fg.append((x, y))
+            point[(x + 1) * stride + y + 1] = (x, y)
             pos = body.find(b"1", pos + 1)
     else:
         # raw rows start after the single whitespace byte ending the header
@@ -96,17 +139,16 @@ def load_pbm(data: bytes) -> BinaryImage:
             raise PbmError(f"truncated raster: need {need} bytes, have {len(raw)}")
         # only the non-zero bytes hold pixels, found by memchr on a 0/1 copy;
         # the bits at x >= width are row padding
-        fg = []
         find = raw.translate(_NONZERO).find
         pos = find(1)
         while pos >= 0:
             y, x = divmod(pos, row_bytes)
             x *= 8
             for b in _BIT_XS[raw[pos]]:
-                if x + b < width:
-                    fg.append((x + b, y))
+                if (xb := x + b) < width:
+                    point[(xb + 1) * stride + y + 1] = (xb, y)
             pos = find(1, pos + 1)
-    return BinaryImage(width, height, frozenset(fg))
+    return _decoded(width, height, point)
 
 
 def dump_p1(img: BinaryImage) -> bytes:

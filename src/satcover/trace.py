@@ -5,15 +5,16 @@ points (1), regular points (2) and branching points (>= 3); maximal
 connected sets of branching pixels are junctions.  Removing the junctions
 leaves simple open curves, which become the edges of a multigraph on
 end points and junctions.  The whole image is read from one neighbour
-code byte per integer pixel id: each junction is grouped in the one pass
+code byte per image-wide pixel id (see `satcover.pbm`; the decoder numbers
+the pixels as it reads them): each junction is grouped in the one pass
 over its pixels that finds its ports, the chains of every component are
 walked at once, the pixels no walk reaches are lone pixels and pure
 cycles, and the components are those of the graph of junctions and end
 points joined by chains, so no search over the pixels finds them.  An
 Euler tour of each graph (after Chinese Postman edge duplication when
 needed) is flattened back to a pixel path; the first time a tour crosses
-a junction it takes a covering walk over every junction pixel, so the
-output path visits all foreground pixels.
+a junction it takes a covering walk over every junction pixel, on the
+same ids, so the output path visits all foreground pixels.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from operator import itemgetter
 from typing import Optional
 
 from .paths import NEIGHBOUR_OFFSETS, Adjacency, DigitalPath, Point, validate_path
-from .pbm import BinaryImage
+from .pbm import BinaryImage, _id_map
 
 
 class TraceError(ValueError):
@@ -52,34 +52,55 @@ for _k in range(8):
     _DIRECTIONS += [d + (_k,) for d in _DIRECTIONS]
 
 
-def _classify(pixels, adjacency: Adjacency):
-    """Integer ids for `pixels` and one neighbour code byte per id.
+def _classify(point: dict[int, Point], stride: int, adjacency: Adjacency):
+    """One neighbour code byte per pixel id of `point`.
 
-    A pixel's id is its cell number in the bounding box padded by one cell
-    on every side, read column by column, so id order is tuple order and
-    the neighbour at (dx, dy) is at id + dx * h2 + dy, with no wrap between
-    columns.  Returns those id offsets in NEIGHBOUR_OFFSETS order, the code
-    of every id, the pixel of every id, and the sorted ids of the branching
-    pixels (three or more neighbours) and of the tips (one)."""
-    if not pixels:
-        return (), {}, {}, [], []
-    x0 = min(pixels)[0] - 1
-    y0 = min(pixels, key=itemgetter(1))[1] - 1
-    h2 = max(pixels, key=itemgetter(1))[1] - y0 + 2
-    point = {(x - x0) * h2 + y - y0: (x, y) for x, y in pixels}
-    offs = tuple([dx * h2 + dy for dx, dy in NEIGHBOUR_OFFSETS[adjacency]])
-    flip = len(offs) - 1
+    The ids are the image-wide ids of `satcover.pbm`, (x + 1) * stride + y
+    + 1 with stride = height + 2: a pixel's cell number, column by column,
+    in the image padded by one cell.  So id order is tuple order and the
+    neighbour at (dx, dy) is at id + dx * stride + dy, with no wrap between
+    columns; any stride of at least max y - min y + 3 keeps this.  Returns
+    those id offsets in NEIGHBOUR_OFFSETS order, the code of every id, and
+    the sorted ids of the branching pixels (three or more neighbours) and
+    of the tips (one)."""
+    offs = tuple([dx * stride + dy for dx, dy in NEIGHBOUR_OFFSETS[adjacency]])
     code = dict.fromkeys(point, 0)
     # the offsets are sorted and symmetric, so direction flip - k is the
-    # step back from direction k: probing the larger half sets both bits
-    for k in range(len(offs) // 2, len(offs)):
-        o, bit, back = offs[k], 1 << k, 1 << flip - k
+    # step back from direction k (flip = len(offs) - 1): each pixel probes
+    # the larger half, and a hit sets bit k on it and bit flip - k on the
+    # neighbour.  The probes are written out for each adjacency.
+    if len(offs) == 4:
+        o2, o3 = offs[2:]
         for i in point:
-            if (j := i + o) in code:
-                code[i] |= bit
-                code[j] |= back
+            c = 0
+            if (j := i + o2) in code:
+                c = 4
+                code[j] |= 2
+            if (j := i + o3) in code:
+                c |= 8
+                code[j] |= 1
+            if c:
+                code[i] |= c
+    else:
+        o4, o5, o6, o7 = offs[4:]
+        for i in point:
+            c = 0
+            if (j := i + o4) in code:
+                c = 16
+                code[j] |= 8
+            if (j := i + o5) in code:
+                c |= 32
+                code[j] |= 4
+            if (j := i + o6) in code:
+                c |= 64
+                code[j] |= 2
+            if (j := i + o7) in code:
+                c |= 128
+                code[j] |= 1
+            if c:
+                code[i] |= c
     degree = bytes(code.values()).translate(_DEGREE)
-    return (offs, code, point, sorted(compress(code, map((3).__le__, degree))),
+    return (offs, code, sorted(compress(code, map((3).__le__, degree))),
             sorted(compress(code, map((1).__eq__, degree))))
 
 
@@ -152,9 +173,10 @@ def _walk(link: dict[int, int], steps, start: int) -> list[int]:
 _DISCONNECTED = "expected a single connected component"
 
 
-def _curve_graphs(pixels, adjacency: Adjacency) -> list[CurveGraph]:
-    """The curve graph of every connected component of `pixels`, ordered by
-    smallest pixel, from one code byte per pixel (see `_classify`).
+def _curve_graphs(point: dict[int, Point], stride: int, adjacency: Adjacency):
+    """The curve graph of every connected component of the pixels of
+    `point`, ordered by smallest pixel, from one code byte per pixel id (see
+    `_classify`), and the image's context for `emit_path`.
 
     End pixels and junction pixels live on the vertices; edge pixel lists
     hold everything in between, so vertex pixels and edge pixels partition
@@ -170,8 +192,12 @@ def _curve_graphs(pixels, adjacency: Adjacency) -> list[CurveGraph]:
     junctions by smallest pixel, then tips, then chains by smallest pixel.
     The walk runs on ids, which id order keeps in tuple order; ids become
     pixels only where a vertex or an edge is built.
+
+    The context is (offsets, code, link, point, junction_of, stride): the
+    neighbour codes, the codes a walk follows (a junction pixel's keep only
+    its bits towards its own junction), and each branching id's junction.
     """
-    offs, code, point, branching, tips = _classify(pixels, adjacency)
+    offs, code, branching, tips = _classify(point, stride, adjacency)
     flip = len(offs) - 1  # the step back from direction k (see `_classify`)
     steps = [(o, ~(1 << flip - k)) for k, o in enumerate(offs)]
     link = code.copy()
@@ -179,20 +205,23 @@ def _curve_graphs(pixels, adjacency: Adjacency) -> list[CurveGraph]:
     junctions = []
     ports = set()
     # one pass over the junction pixels: each junction grows breadth-first
-    # from its smallest id, and a neighbour that is not branching is a port,
-    # whose bit back to the junction is cleared
+    # from its smallest id, and a neighbour that is not branching is a port;
+    # the bits between a junction and its ports are cleared on both sides
     for seed in branching:
         if junction_of[seed] < 0:
             jid = junction_of[seed] = len(junctions)
             blob = [seed]
             for j in blob:
-                for k in _DIRECTIONS[code[j]]:
+                c = code[j]
+                for k in _DIRECTIONS[c]:
                     if (q := j + offs[k]) not in junction_of:
                         ports.add(q)
                         link[q] &= steps[k][1]
+                        c ^= 1 << k
                     elif junction_of[q] < 0:
                         junction_of[q] = jid
                         blob.append(q)
+                link[j] = c
             blob.sort()
             junctions.append(blob)
     chains = []
@@ -262,29 +291,39 @@ def _curve_graphs(pixels, adjacency: Adjacency) -> list[CurveGraph]:
             cycle[1:] = cycle[:0:-1]
         edge = Edge(0, 0, tuple(map(point.__getitem__, cycle)))
         found.append((point[cycle[0]], CurveGraph((Vertex("cycle", ()),), (edge,), adjacency)))
-    return [g for _, g in sorted(found, key=lambda f: f[0])]
+    graphs = [g for _, g in sorted(found, key=lambda f: f[0])]
+    return graphs, (offs, code, link, point, junction_of, stride)
+
+
+def _image_graphs(img: BinaryImage, adjacency: Adjacency):
+    """`_curve_graphs` on the image's pixel ids."""
+    return _curve_graphs(img._ids(), img.height + 2, adjacency)
+
+
+def _one_graph(img: BinaryImage, adjacency: Adjacency):
+    graphs, context = _image_graphs(img, adjacency)
+    if len(graphs) != 1:
+        raise TraceError(_DISCONNECTED)
+    return graphs[0], context
 
 
 def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
     """Graph of one connected raster component (see `_curve_graphs`)."""
-    graphs = _curve_graphs(img.foreground, adjacency)
-    if len(graphs) != 1:
-        raise TraceError(_DISCONNECTED)
-    return graphs[0]
+    return _one_graph(img, adjacency)[0]
 
 
 def components(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
     """Connected components of the foreground, sorted by their smallest
     pixel: the pixels of each curve graph's vertices and edges."""
     return [frozenset().union(*[v.pixels for v in g.vertices], *[e.pixels for e in g.edges])
-            for g in _curve_graphs(img.foreground, adjacency)]
+            for g in _image_graphs(img, adjacency)[0]]
 
 
 def find_junctions(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:
     """Maximal connected sets of branching pixels, sorted by their smallest
     pixel: the junction vertices of every curve graph."""
     return [frozenset(pixels) for pixels in sorted(
-        v.pixels for g in _curve_graphs(img.foreground, adjacency) for v in g.vertices
+        v.pixels for g in _image_graphs(img, adjacency)[0] for v in g.vertices
         if v.kind == "junction")]
 
 
@@ -597,34 +636,39 @@ class Run:
     forward: bool
 
 
-def _junction_tree_walk(pixels: frozenset[Point], entry: Point, exit_: Point,
-                        adjacency: Adjacency, cover: bool = True) -> list[Point]:
-    """A walk through junction pixels from entry to exit_, from one
-    breadth-first search rooted at entry that tries neighbours in sorted
-    order.  Its spine is the search-tree path from entry to exit_; with
-    `cover`, the walk visits every pixel: a spanning-tree traversal that
-    descends the spine last and does not climb back out of it (at most
-    2*|pixels| points)."""
-    offsets = NEIGHBOUR_OFFSETS[adjacency]
-    parent: dict[Point, Optional[Point]] = {entry: None}
+def _id_of(p: Point, stride: int) -> int:
+    """The id of pixel p (see `_classify`)."""
+    return (p[0] + 1) * stride + p[1] + 1
+
+
+def _junction_walk(context, entry: int, exit_: int, cover: bool = True) -> list[Point]:
+    """A walk through the pixels of one junction from id entry to id exit_,
+    from one breadth-first search rooted at entry over the junction's codes
+    in `context` (see `_curve_graphs`).  The directions of a code come out
+    in NEIGHBOUR_OFFSETS order, so neighbours are tried in sorted order.
+    Its spine is the search-tree path from entry to exit_; with `cover`, the
+    walk visits every pixel: a spanning-tree traversal that descends the
+    spine last and does not climb back out of it (at most 2*|pixels|
+    points)."""
+    offs, link, point = context[0], context[2], context[3]
+    parent: dict[int, Optional[int]] = {entry: None}
     order = [entry]  # visit order; the search appends to it as it reads it
     for u in order:
-        x, y = u
-        for dx, dy in offsets:
-            q = (x + dx, y + dy)
-            if q in pixels and q not in parent:
+        for k in _DIRECTIONS[link[u]]:
+            if (q := u + offs[k]) not in parent:
                 parent[q] = u
                 order.append(q)
     if exit_ not in parent:
-        raise EmitError(f"junction pixels are not connected between {entry} and {exit_}")
+        raise EmitError(f"junction pixels are not connected between {point[entry]} "
+                        f"and {point[exit_]}")
     spine = [exit_]
     while parent[spine[-1]] is not None:
         spine.append(parent[spine[-1]])
     spine.reverse()
     if not cover:
-        return spine
+        return list(map(point.__getitem__, spine))
     spine_next = dict(zip(spine, spine[1:]))
-    children: dict[Point, list[Point]] = {p: [] for p in parent}
+    children: dict[int, list[int]] = {p: [] for p in parent}
     for q, u in parent.items():
         if u is not None and spine_next.get(u) != q:
             children[u].append(q)
@@ -646,17 +690,31 @@ def _junction_tree_walk(pixels: frozenset[Point], entry: Point, exit_: Point,
             stack.append((nxt, iter(children[nxt])))
         elif stack:
             out.append(stack[-1][0])
-    return out
+    return list(map(point.__getitem__, out))
 
 
-def emit_path(g: CurveGraph, tour: list[Traversal]) -> tuple[DigitalPath, tuple[Run, ...]]:
+def _graph_context(g: CurveGraph):
+    """The context of `_curve_graphs` for the image of `g`'s own pixels."""
+    pixels = {p for v in g.vertices for p in v.pixels}.union(*[e.pixels for e in g.edges])
+    ys = [y for _, y in pixels]
+    stride = max(ys, default=0) - min(ys, default=0) + 3
+    return _curve_graphs(_id_map(pixels, stride), stride, g.adjacency)[1]
+
+
+def emit_path(g: CurveGraph, tour: list[Traversal],
+              context=None) -> tuple[DigitalPath, tuple[Run, ...]]:
     """Concatenate the tour's edge pixels, routing through junction pixels at
     the seams.  The first crossing of each junction covers all its pixels, so
     the emitted path visits every foreground pixel of the component.  The
     finished path is validated once, the wrap pair of a closed path included;
-    a pair that is not adjacent raises EmitError."""
+    a pair that is not adjacent raises EmitError.  The junctions are walked
+    on the ids of `context`, the one `_curve_graphs` returned with `g`; with
+    none, it is made from the pixels of `g`."""
     if not tour:
         raise TraceError("cannot emit an empty tour")
+    if context is None:
+        context = _graph_context(g)
+    offs, code, _, _, junction_of, stride = context
     closed = tour[0][1] == tour[-1][2]
     adjacency = g.adjacency
     legs = []  # each traversal's edge pixels in walking order
@@ -684,24 +742,27 @@ def emit_path(g: CurveGraph, tour: list[Traversal]) -> tuple[DigitalPath, tuple[
             stream.append(vert.pixels[0])
         if vert.kind != "junction":
             return
-        pixels = frozenset(vert.pixels)
-        entry = _attach(pixels, stream[-1]) if stream else None
-        exit_ = _attach(pixels, first(nxt)) if nxt is not None else None
+        root = _id_of(vert.pixels[0], stride)
+        if (jid := junction_of.get(root)) is None:
+            raise EmitError(f"junction at {vert.pixels[0]} is not one of the image")
+        entry = _attach(stream[-1], jid) if stream else None
+        exit_ = _attach(first(nxt), jid) if nxt is not None else None
         if vid not in seen:
             seen.add(vid)
             if entry is None:
-                entry = exit_ if exit_ is not None else min(pixels)
+                entry = exit_ if exit_ is not None else root
             if exit_ is None:
                 exit_ = entry
-            stream.extend(_junction_tree_walk(pixels, entry, exit_, adjacency))
+            stream.extend(_junction_walk(context, entry, exit_))
         elif entry is not None and exit_ is not None:
-            stream.extend(_junction_tree_walk(pixels, entry, exit_, adjacency, cover=False))
+            stream.extend(_junction_walk(context, entry, exit_, cover=False))
 
-    def _attach(pixels: frozenset[Point], outside: Point) -> Point:
-        # the smallest junction pixel next to `outside`
-        x, y = outside
-        for dx, dy in NEIGHBOUR_OFFSETS[adjacency]:
-            if (q := (x + dx, y + dy)) in pixels:
+    def _attach(outside: Point, jid: int) -> int:
+        # the smallest pixel of junction jid next to `outside`, from the
+        # code bits of `outside`
+        p = _id_of(outside, stride)
+        for k in _DIRECTIONS[code.get(p, 0)]:
+            if junction_of.get(q := p + offs[k]) == jid:
                 return q
         raise EmitError(f"pixel {outside} does not touch the junction it should")
 
@@ -734,15 +795,19 @@ class ComponentTrace:
     runs: tuple[Run, ...]
 
 
-def _trace_graph(g: CurveGraph) -> ComponentTrace:
-    """The trace of one component, from its curve graph."""
+def _trace_graph(g: CurveGraph, context) -> ComponentTrace:
+    """The trace of one component, from its curve graph and the context
+    `_curve_graphs` returned with it."""
     if not g.edges:
         # a lone pixel, or a blob of branching pixels covered by a tree walk
         vert = g.vertices[0]
-        start = vert.pixels[0]
-        walk = _junction_tree_walk(frozenset(vert.pixels), start, start, g.adjacency)
+        if vert.kind == "end":
+            return ComponentTrace(DigitalPath(vert.pixels, closed=False, adjacency=g.adjacency),
+                                  None, (), ())
+        root = _id_of(vert.pixels[0], context[5])
+        walk = _junction_walk(context, root, root)
         return ComponentTrace(DigitalPath(tuple(walk), closed=False, adjacency=g.adjacency),
-                              g if vert.kind == "junction" else None, (), ())
+                              g, (), ())
     odd = g.odd_vertices()
     if len(odd) == 2:
         tour = euler_open_trail(g)
@@ -750,15 +815,16 @@ def _trace_graph(g: CurveGraph) -> ComponentTrace:
         if odd:
             g = eulerize(g)
         tour = euler_tour(g, 0)
-    path, runs = emit_path(g, tour)
+    path, runs = emit_path(g, tour, context)
     return ComponentTrace(path, g, tuple(tour), runs)
 
 
 def trace_component(img: BinaryImage, adjacency: Adjacency) -> ComponentTrace:
     """Trace one connected component (img must contain exactly one)."""
-    return _trace_graph(build_curve_graph(img, adjacency))
+    return _trace_graph(*_one_graph(img, adjacency))
 
 
 def trace_image(img: BinaryImage, adjacency: Adjacency) -> list[ComponentTrace]:
     """One path per connected component, components ordered by smallest pixel."""
-    return [_trace_graph(g) for g in _curve_graphs(img.foreground, adjacency)]
+    graphs, context = _image_graphs(img, adjacency)
+    return [_trace_graph(g, context) for g in graphs]

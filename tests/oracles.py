@@ -62,6 +62,12 @@ vertices that `satcover.trace.eulerize` used before it split the problem
 over bridges and 2-edge-connected blocks: the lowest unpaired odd vertex
 takes the smallest partner that can still reach the optimum.  The
 eulerization must duplicate the edges of exactly these pairs.
+
+`junction_tree_walk_reference` is the walk through a junction on tuple
+pixels that `satcover.trace.emit_path` took before it walked on pixel ids:
+a breadth-first search that builds a tuple for each neighbour of each
+pixel and tests it against the junction's pixel set.  The walk on ids must
+give the same covering walk and the same spine.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ from satcover.paths import (
 )
 from satcover.pbm import BinaryImage, PbmError
 from satcover.predicates import DssRecognizer, PredicateSpec, make_recognizer
-from satcover.trace import CurveGraph, Edge, TraceError, Vertex
+from satcover.trace import CurveGraph, Edge, EmitError, TraceError, Vertex
 
 
 def interval_points(path: DigitalPath, iv: IndexInterval) -> list[Point]:
@@ -748,3 +754,55 @@ def curve_graphs_reference(pixels, adjacency: Adjacency) -> list[CurveGraph]:
         found.append((cycle[0], CurveGraph((Vertex("cycle", ()),), (Edge(0, 0, tuple(cycle)),),
                                            adjacency)))
     return [g for _, g in sorted(found, key=lambda f: f[0])]
+
+
+def junction_tree_walk_reference(pixels: frozenset[Point], entry: Point, exit_: Point,
+                                  adjacency: Adjacency, cover: bool = True) -> list[Point]:
+    """A walk through junction pixels from entry to exit_, from one
+    breadth-first search rooted at entry that tries neighbours in sorted
+    order.  Its spine is the search-tree path from entry to exit_; with
+    `cover`, the walk visits every pixel: a spanning-tree traversal that
+    descends the spine last and does not climb back out of it (at most
+    2*|pixels| points)."""
+    offsets = NEIGHBOUR_OFFSETS[adjacency]
+    parent: dict[Point, Optional[Point]] = {entry: None}
+    order = [entry]  # visit order; the search appends to it as it reads it
+    for u in order:
+        x, y = u
+        for dx, dy in offsets:
+            q = (x + dx, y + dy)
+            if q in pixels and q not in parent:
+                parent[q] = u
+                order.append(q)
+    if exit_ not in parent:
+        raise EmitError(f"junction pixels are not connected between {entry} and {exit_}")
+    spine = [exit_]
+    while parent[spine[-1]] is not None:
+        spine.append(parent[spine[-1]])
+    spine.reverse()
+    if not cover:
+        return spine
+    spine_next = dict(zip(spine, spine[1:]))
+    children: dict[Point, list[Point]] = {p: [] for p in parent}
+    for q, u in parent.items():
+        if u is not None and spine_next.get(u) != q:
+            children[u].append(q)
+
+    out = [entry]
+    stack = [(entry, iter(children[entry]))]
+    while stack:
+        u, todo = stack[-1]
+        c = next(todo, None)
+        if c is not None:
+            out.append(c)
+            stack.append((c, iter(children[c])))
+            continue
+        stack.pop()
+        nxt = spine_next.get(u)
+        if nxt is not None:
+            # the spine replaces u on the stack: its walk never returns to u
+            out.append(nxt)
+            stack.append((nxt, iter(children[nxt])))
+        elif stack:
+            out.append(stack[-1][0])
+    return out

@@ -59,6 +59,18 @@ def test_trace_two_components(tmp_path):
     assert svg.startswith("<svg")
 
 
+def test_trace_refused_svg_writes_nothing(tmp_path, capsys):
+    """An --svg in a missing directory is refused before any component file
+    is written or listed: exit 2, nothing on stdout, no `_c0.json` left."""
+    src = write_pbm(tmp_path, "ok2.pbm", "##.\n#..\n...")
+    out_dir = tmp_path / "outx"
+    svg = tmp_path / "nodir" / "t.svg"
+    assert main(["trace", str(src), "--out-dir", str(out_dir), "--svg", str(svg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and f"'{svg}'" in err, err
+    assert list(tmp_path.glob("**/*_c0.json")) == []
+
+
 @pytest.mark.parametrize("adjacency", ["4", "8"])
 @pytest.mark.parametrize("name", sorted(ALL_FIXTURES))
 def test_trace_svg_marks_every_junction(tmp_path, name, adjacency):

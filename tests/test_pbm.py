@@ -151,8 +151,52 @@ def test_sparse_p4_matches_reference_decoder():
     assert padded > 200
 
 
+def _encodings(img: BinaryImage, rng: random.Random):
+    """P1 with dense rows, with comments and with other whitespace, and P4
+    with its row-padding bits clear and set."""
+    yield dump_p1(img)
+    rows = [b"".join(b"1" if (x, y) in img.foreground else b"0" for x in range(img.width))
+            for y in range(img.height)]
+    head = f"P1\n{img.width} {img.height}\n".encode()
+    yield head + b"".join(b"# row %d\n" % y + row + b"\n" for y, row in enumerate(rows))
+    sep = rng.choice((b" ", b"\t", b"\r\n", b"\x0b", b"\x0c"))
+    yield b"P1\r\n%d\t%d\r\n" % (img.width, img.height) + sep.join(
+        sep.join(row[x:x + 1] for x in range(img.width)) for row in rows) + sep
+    yield dump_p4(img)
+    if img.width % 8:
+        data = bytearray(dump_p4(img))
+        row_bytes = (img.width + 7) // 8
+        body = len(data) - row_bytes * img.height
+        for y in range(img.height):
+            data[body + (y + 1) * row_bytes - 1] |= 0xFF >> (img.width % 8)
+        yield bytes(data)
+
+
+def test_decoded_ids_equal_a_built_image_and_keep_scan_order():
+    """The decoder numbers each pixel as it reads it: on every encoding of
+    the round-trip corpus its id map equals that of an image built from the
+    same pixel set, lists the pixels in scan order (row by row), and the
+    image keeps the equality, hash and repr of the built one."""
+    rng = random.Random(42)
+    images = [BinaryImage(3, 2, frozenset({(0, 0), (2, 0), (1, 1)})), BinaryImage(4, 2, frozenset())]
+    for _ in range(25):
+        w, h = rng.randint(1, 21), rng.randint(1, 13)
+        images.append(BinaryImage(w, h, frozenset(
+            (x, y) for x in range(w) for y in range(h) if rng.random() < 0.4)))
+    decoded = 0
+    for img in images:
+        for data in _encodings(img, rng):
+            got = load_pbm(data)
+            built = BinaryImage(got.width, got.height, got.foreground)
+            assert got == built == img and hash(got) == hash(built) and repr(got) == repr(built)
+            assert got._ids() == built._ids(), data
+            assert list(got._ids().values()) == sorted(img.foreground, key=lambda p: (p[1], p[0]))
+            decoded += 1
+    assert decoded > 120, decoded
+
+
 def test_image_bounds_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^foreground pixel \(2,0\) outside 2x2$"):
         BinaryImage(2, 2, frozenset({(2, 0)}))
 
 

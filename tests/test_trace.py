@@ -12,12 +12,13 @@ from oracles import (
     components_reference,
     curve_graphs_reference,
     find_junctions_reference,
+    junction_tree_walk_reference,
     min_matching_weight,
     min_weight_matching_reference,
 )
 from satcover import trace
-from satcover.paths import Adjacency, is_adjacent, validate_path
-from satcover.pbm import BinaryImage, image_from_ascii
+from satcover.paths import NEIGHBOUR_OFFSETS, Adjacency, is_adjacent, validate_path
+from satcover.pbm import BinaryImage, _id_map, image_from_ascii
 from satcover.trace import (
     MAX_ODD,
     CurveGraph,
@@ -30,6 +31,8 @@ from satcover.trace import (
     _blocks,
     _curve_graphs,
     _dijkstra,
+    _image_graphs,
+    _junction_walk,
     build_curve_graph,
     components,
     emit_path,
@@ -615,6 +618,16 @@ def test_emit_refuses_a_path_that_is_not_adjacent():
         emit_path(loop, euler_tour(loop, 0))
 
 
+def test_emit_refuses_a_junction_its_pixels_do_not_make():
+    """Without a context, `emit_path` walks junctions on the ids of the
+    graph's own pixels; a vertex called a junction whose pixel branches
+    nowhere raises EmitError."""
+    mid = CurveGraph((Vertex("junction", ((1, 0),)), Vertex("end", ((0, 0),)),
+                      Vertex("end", ((2, 0),))), (Edge(1, 0, ()), Edge(0, 2, ())), FOUR)
+    with pytest.raises(EmitError, match=r"junction at \(1, 0\) is not one of the image"):
+        emit_path(mid, euler_open_trail(mid))
+
+
 def test_trace_image_components_and_isolated():
     img = fixture_image("two_components")
     traces = trace_image(img, FOUR)
@@ -767,6 +780,14 @@ def _far_bordered_images(count: int, seed: int):
         yield frozenset((ox + x, oy + y) for x, y in fg)
 
 
+def _graphs(pixels, adjacency):
+    """`_curve_graphs` on `pixels`, numbered in the order given, with the
+    least column stride that keeps columns apart."""
+    ys = [y for _, y in pixels]
+    stride = max(ys, default=0) - min(ys, default=0) + 3
+    return _curve_graphs(_id_map(pixels, stride), stride, adjacency)[0]
+
+
 @lru_cache(maxsize=None)
 def _differential_images() -> tuple[frozenset, ...]:
     """The foregrounds of the 2,400-image corpus and the fixtures, of every
@@ -787,7 +808,7 @@ def test_curve_graphs_equal_the_tuple_builder(adjacency):
     image of `_differential_images`."""
     kinds: Counter = Counter()
     for fg in _differential_images():
-        graphs = _curve_graphs(fg, adjacency)
+        graphs = _graphs(fg, adjacency)
         assert graphs == curve_graphs_reference(fg, adjacency), sorted(fg)
         kinds.update(v.kind for g in graphs for v in g.vertices)
     assert min(kinds[k] for k in ("end", "junction", "cycle")) >= 1000, kinds
@@ -822,9 +843,48 @@ def test_curve_graphs_ignore_the_input_order(adjacency):
     images.append(frozenset((x, y) for x in range(300) for y in range(3)))
     for fg in images:
         scan = sorted(fg, key=lambda p: (p[1], p[0]))
-        graphs = _curve_graphs(fg, adjacency)
-        assert _curve_graphs(scan, adjacency) == graphs, scan
-        assert _curve_graphs(scan[::-1], adjacency) == graphs, scan
+        graphs = _graphs(fg, adjacency)
+        assert _graphs(scan, adjacency) == graphs, scan
+        assert _graphs(scan[::-1], adjacency) == graphs, scan
+
+
+@pytest.mark.parametrize("adjacency", [FOUR, EIGHT])
+def test_junction_walk_equals_the_tuple_walk(adjacency):
+    """The walk on pixel ids gives the tuple walk's covering walk and spine
+    on every junction of the 2,400-image corpus and of every 4x4 image up
+    to symmetry: the covering walk from each attachment pixel (a junction
+    pixel next to a pixel outside it) to each, and the spine between each
+    pair of them.  A junction with no attachment pixel is walked from its
+    smallest pixel, as a blob with no edge is."""
+    images = list(_mixed_images(2400, seed=29))
+    images += [BinaryImage(_SIDE, _SIDE, frozenset(c for i, c in enumerate(_CELLS) if mask >> i & 1))
+               for mask in _square_class_masks()]
+    seen: Counter = Counter()
+    for img in images:
+        graphs, context = _image_graphs(img, adjacency)
+        stride = img.height + 2
+        for g in graphs:
+            for vert in g.vertices:
+                if vert.kind != "junction":
+                    continue
+                pixels = frozenset(vert.pixels)
+                attach = [(x, y) for x, y in vert.pixels if any(
+                    (q := (x + dx, y + dy)) in img.foreground and q not in pixels
+                    for dx, dy in NEIGHBOUR_OFFSETS[adjacency])] or [vert.pixels[0]]
+                ids = [(x + 1) * stride + y + 1 for x, y in attach]
+                for a, i in zip(attach, ids):
+                    for b, j in zip(attach, ids):
+                        want = junction_tree_walk_reference(pixels, a, b, adjacency)
+                        assert _junction_walk(context, i, j) == want, (sorted(pixels), a, b)
+                        if a != b:
+                            want = junction_tree_walk_reference(pixels, a, b, adjacency, cover=False)
+                            assert _junction_walk(context, i, j, cover=False) == want, \
+                                (sorted(pixels), a, b)
+                            seen["spines"] += 1
+                seen["junctions"] += 1
+                seen["several pixels"] += len(pixels) > 1
+                seen["several attachments"] += len(attach) > 1
+    assert min(seen.values()) >= 1000, seen
 
 
 def test_all_branching_blob_covered():
