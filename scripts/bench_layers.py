@@ -23,6 +23,9 @@ box of over a billion cells).  `trace.pbm.ring`, `trace.pbm.bar` and
 pixel, on that grid of rings, on the bar, and on a comb (a one-pixel spine
 with a 19-pixel tooth every 4 columns, whose junctions are small).
 
+Every row also gives, at each size, the garbage collector's gen 0, 1 and
+2 collections during one untimed call made after a full collection.
+
 The program is imported from --src (default ./src), so a second checkout
 can be measured in alternation with this one.  --out appends the run to a
 JSON list, with the git revision of --src, the Python version, the machine
@@ -34,6 +37,7 @@ and the date.
 
 import argparse
 import datetime
+import gc
 import json
 import math
 import os
@@ -66,17 +70,40 @@ def git_revision(src: Path):
     return rev + ("-dirty" if dirty else "")
 
 
+def collections(call) -> list:
+    """The gen 0, 1 and 2 collections during one call of `call`, made
+    after a full collection, counted through `gc.callbacks`."""
+    counts = [0, 0, 0]
+
+    def count(phase, info):
+        if phase == "start":
+            counts[info["generation"]] += 1
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+    return counts
+
+
 def cover_rows(sizes, repeat: int) -> list:
     from satcover import synth
     from satcover.cover import complexity_probe
     from satcover.predicates import PredicateSpec
 
     paths = {size: synth.circle_path_of_size(size) for size in sizes}
+
+    def cover(name, params, size):
+        (row,) = complexity_probe(PredicateSpec(name, params), [size], paths.__getitem__)
+        return row
+
     best = {}
     for _ in range(repeat):
         for size in sizes:
             for name, params in COVERS:
-                (row,) = complexity_probe(PredicateSpec(name, params), [size], paths.__getitem__)
+                row = cover(name, params, size)
                 if (name, size) not in best or row.seconds < best[name, size].seconds:
                     best[name, size] = row
     rows = []
@@ -90,13 +117,15 @@ def cover_rows(sizes, repeat: int) -> list:
             "us_per_point": [round(u, 3) for u in us],
             "spread": round(max(us) / min(us), 3),
             "calls_per_point": [round(r.ratio, 4) for r in probe],
+            "gc": [collections(lambda size=size: cover(name, params, size)) for size in sizes],
         })
     return rows
 
 
-def best_seconds(cases: dict, repeat: int) -> dict:
+def best_seconds(cases: dict, repeat: int) -> tuple:
     """The best time of each case's call over `repeat` rounds, the cases
-    interleaved within each round."""
+    interleaved within each round, and the collections of each case's call
+    (see `collections`)."""
     best = {}
     for _ in range(repeat):
         for key, call in cases.items():
@@ -104,13 +133,13 @@ def best_seconds(cases: dict, repeat: int) -> dict:
             call()
             seconds = time.perf_counter() - t0
             best[key] = min(best.get(key, seconds), seconds)
-    return best
+    return best, {key: collections(call) for key, call in cases.items()}
 
 
-def per_pixel_row(layer: str, n: list, seconds: list) -> dict:
+def per_pixel_row(layer: str, n: list, seconds: list, gcs: list) -> dict:
     us = [1e6 * s / pixels for s, pixels in zip(seconds, n)]
     return {"layer": layer, "n": n, "us_per_pixel": [round(u, 3) for u in us],
-            "spread": round(max(us) / min(us), 3)}
+            "spread": round(max(us) / min(us), 3), "gc": gcs}
 
 
 def moved_in(pixels) -> tuple:
@@ -151,8 +180,9 @@ def comb(size: int) -> tuple:
 
 
 def p4(width: int, height: int, fg) -> bytes:
-    """The P4 file of the image, set pixel by pixel (`pbm.dump_p4` visits
-    every cell in Python, which is slow on millions of cells)."""
+    """The P4 file of the image, set pixel by pixel.  It is written here,
+    not by `pbm.dump_p4`, so that the inputs do not depend on the code
+    under measurement."""
     row_bytes = (width + 7) // 8
     raster = bytearray(row_bytes * height)
     for x, y in fg:
@@ -170,13 +200,12 @@ def trace_rows(sizes, repeat: int) -> list:
     for size in sizes:
         images["trace.ring", size] = BinaryImage(*moved_in(synth.circle_path_of_size(size).points))
         images["trace.bar", size] = BinaryImage(*bar(size))
-    best = best_seconds({key: lambda img=img: trace_image(img, Adjacency.EIGHT)
-                         for key, img in images.items()}, repeat)
-    rows = []
-    for layer in ("trace.ring", "trace.bar"):
-        rows.append(per_pixel_row(layer, [len(images[layer, size].foreground) for size in sizes],
-                                  [best[layer, size] for size in sizes]))
-    return rows
+    best, gcs = best_seconds({key: lambda img=img: trace_image(img, Adjacency.EIGHT)
+                              for key, img in images.items()}, repeat)
+    return [per_pixel_row(layer, [len(images[layer, size].foreground) for size in sizes],
+                          [best[layer, size] for size in sizes],
+                          [gcs[layer, size] for size in sizes])
+            for layer in ("trace.ring", "trace.bar")]
 
 
 def raster_rows(sizes, repeat: int) -> list:
@@ -197,15 +226,17 @@ def raster_rows(sizes, repeat: int) -> list:
              for size in sizes}
     cases.update({(f"trace.pbm.{shape}", size): lambda data=data: traced(data)
                   for (shape, size), (data, _, _) in rasters.items()})
-    best = best_seconds(cases, repeat)
+    best, gcs = best_seconds(cases, repeat)
     rings = [rasters["ring", size] for size in sizes]
     load = per_pixel_row("pbm.load", [pixels for _, pixels, _ in rings],
-                         [best["pbm.load", size] for size in sizes])
+                         [best["pbm.load", size] for size in sizes],
+                         [gcs["pbm.load", size] for size in sizes])
     load["cells"] = [cells for _, _, cells in rings]
     load["ns_per_cell"] = [round(1e9 * best["pbm.load", size] / cells, 3)
                            for size, (_, _, cells) in zip(sizes, rings)]
     return [load] + [per_pixel_row(f"trace.pbm.{shape}", [rasters[shape, size][1] for size in sizes],
-                                   [best[f"trace.pbm.{shape}", size] for size in sizes])
+                                   [best[f"trace.pbm.{shape}", size] for size in sizes],
+                                   [gcs[f"trace.pbm.{shape}", size] for size in sizes])
                      for shape in shapes]
 
 
@@ -237,16 +268,17 @@ def main() -> int:
     }
     print(f"revision {run['revision']}, Python {run['python']}, best of {args.repeat}")
     for row in run["rows"]:
+        gcs = "  gc " + " / ".join(",".join(map(str, counts)) for counts in row["gc"])
         if "us_per_pixel" in row:
             us = " / ".join(f"{u:.2f}" for u in row["us_per_pixel"])
             cells = ""
             if "ns_per_cell" in row:
                 cells = "  ns/cell " + " / ".join(f"{c:.2f}" for c in row["ns_per_cell"])
-            print(f"{row['layer']:<18} us/pixel {us}  spread {row['spread']:.2f}{cells}")
+            print(f"{row['layer']:<18} us/pixel {us}  spread {row['spread']:.2f}{cells}{gcs}")
             continue
         us = " / ".join(f"{u:.2f}" for u in row["us_per_point"])
         calls = " / ".join(f"{c:.2f}" for c in row["calls_per_point"])
-        print(f"{row['layer']:<18} us/point {us}  spread {row['spread']:.2f}  calls/n {calls}")
+        print(f"{row['layer']:<18} us/point {us}  spread {row['spread']:.2f}  calls/n {calls}{gcs}")
     if args.out:
         out = Path(args.out)
         runs = json.loads(out.read_text()) if out.exists() else []

@@ -234,14 +234,15 @@ def _cmd_probe(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rows = complexity_probe(spec, sizes, factory)
-    print(f"{'n':>10} {'calls':>12} {'calls/n':>10} {'seconds':>10} {'us/n':>10}")
-    for row in rows:
-        print(f"{row.n_points:>10} {row.predicate_calls:>12} {row.ratio:>10.3f} "
-              f"{row.seconds:>10.3f} {row.us_per_point:>10.2f}")
+    # the file first, so a refused -o prints no table
     if args.output:
         doc = _dump([{"n": r.n_points, "calls": r.predicate_calls, "ratio": r.ratio,
                       "seconds": r.seconds} for r in rows])
         _atomic_write(FsPath(args.output), doc)
+    print(f"{'n':>10} {'calls':>12} {'calls/n':>10} {'seconds':>10} {'us/n':>10}")
+    for row in rows:
+        print(f"{row.n_points:>10} {row.predicate_calls:>12} {row.ratio:>10.3f} "
+              f"{row.seconds:>10.3f} {row.us_per_point:>10.2f}")
     return EXIT_OK
 
 

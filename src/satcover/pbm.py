@@ -152,22 +152,23 @@ def load_pbm(data: bytes) -> BinaryImage:
 
 
 def dump_p1(img: BinaryImage) -> bytes:
-    lines = [b"P1", f"{img.width} {img.height}".encode()]
-    for y in range(img.height):
-        lines.append(b" ".join(b"1" if (x, y) in img.foreground else b"0" for x in range(img.width)))
-    return b"\n".join(lines) + b"\n"
+    """The plain PBM file of the image: rows of 0s, then a 1 at each
+    foreground pixel's digit."""
+    row = b" ".join([b"0"] * img.width) + b"\n"
+    body = bytearray(row * img.height)
+    for x, y in img.foreground:
+        body[y * len(row) + 2 * x] = 0x31  # b"1"
+    return b"P1\n%d %d\n" % (img.width, img.height) + bytes(body)
 
 
 def dump_p4(img: BinaryImage) -> bytes:
+    """The raw PBM file of the image: a zero raster, then one bit set per
+    foreground pixel."""
     row_bytes = (img.width + 7) // 8
-    out = bytearray(f"P4\n{img.width} {img.height}\n".encode())
-    for y in range(img.height):
-        row = bytearray(row_bytes)
-        for x in range(img.width):
-            if (x, y) in img.foreground:
-                row[x >> 3] |= 0x80 >> (x & 7)
-        out += row
-    return bytes(out)
+    raster = bytearray(row_bytes * img.height)
+    for x, y in img.foreground:
+        raster[y * row_bytes + (x >> 3)] |= 0x80 >> (x & 7)
+    return b"P4\n%d %d\n" % (img.width, img.height) + bytes(raster)
 
 
 def image_from_ascii(art: str) -> BinaryImage:

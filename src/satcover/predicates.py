@@ -56,7 +56,6 @@ class Recognizer:
     """
 
     def __init__(self, path: DigitalPath):
-        self.path = path
         self.n_points = path.n_points
         self._points = path.points
         self._closed = path.closed
@@ -450,7 +449,7 @@ class MaxLenRecognizer(Recognizer):
         self.k = k
 
     def _on_reset(self, index, p):
-        return self.k >= 1
+        return True
 
     def _try_add(self, index, p, positive, closing):
         return self._length + 1 <= self.k
@@ -609,55 +608,26 @@ class PredicateInfo:
     params: tuple[str, ...]
     conservative: bool
     doc: str
-    factory: Callable[[PredicateSpec, DigitalPath], Recognizer] = field(compare=False)
+    # called as factory(path, *values), with the values in `params` order
+    factory: Callable[..., Recognizer] = field(compare=False)
 
 
-def _need(spec: PredicateSpec, key: str) -> int:
-    if key not in spec.params:
-        raise PredicateError(f"predicate {spec.name!r} needs parameter {key!r}")
-    v = spec.params[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise PredicateError(f"parameter {key!r} of {spec.name!r} must be an integer")
-    return v
-
-
-_REGISTRY: dict[str, PredicateInfo] = {}
+_REGISTRY: dict[str, PredicateInfo] = {info.name: info for info in (
+    PredicateInfo("dss", (), True, "points fit one digital straight line band", DssRecognizer),
+    PredicateInfo("max_len", ("k",), True, "at most k points", MaxLenRecognizer),
+    PredicateInfo("x_monotone", (), True, "x coordinate weakly monotone",
+                  lambda path: MonotoneRecognizer(path, 0)),
+    PredicateInfo("y_monotone", (), True, "y coordinate weakly monotone",
+                  lambda path: MonotoneRecognizer(path, 1)),
+    PredicateInfo("bbox", ("w", "h"), True, "bounding box fits in w x h cells", BboxRecognizer),
+    PredicateInfo("contains_start", (), False,
+                  "interval contains path index 0 (non-conservative, for verification only)",
+                  ContainsStartRecognizer),
+)}
 
 
 def register_predicate(info: PredicateInfo) -> None:
     _REGISTRY[info.name] = info
-
-
-register_predicate(PredicateInfo(
-    "dss", (), True,
-    "points fit one digital straight line band",
-    lambda spec, path: DssRecognizer(path),
-))
-register_predicate(PredicateInfo(
-    "max_len", ("k",), True,
-    "at most k points",
-    lambda spec, path: MaxLenRecognizer(path, _need(spec, "k")),
-))
-register_predicate(PredicateInfo(
-    "x_monotone", (), True,
-    "x coordinate weakly monotone",
-    lambda spec, path: MonotoneRecognizer(path, 0),
-))
-register_predicate(PredicateInfo(
-    "y_monotone", (), True,
-    "y coordinate weakly monotone",
-    lambda spec, path: MonotoneRecognizer(path, 1),
-))
-register_predicate(PredicateInfo(
-    "bbox", ("w", "h"), True,
-    "bounding box fits in w x h cells",
-    lambda spec, path: BboxRecognizer(path, _need(spec, "w"), _need(spec, "h")),
-))
-register_predicate(PredicateInfo(
-    "contains_start", (), False,
-    "interval contains path index 0 (non-conservative, for verification only)",
-    lambda spec, path: ContainsStartRecognizer(path),
-))
 
 
 def list_predicates() -> list[PredicateInfo]:
@@ -665,6 +635,9 @@ def list_predicates() -> list[PredicateInfo]:
 
 
 def make_recognizer(spec: PredicateSpec, path: DigitalPath) -> Recognizer:
+    """The recognizer of `spec` on `path`.  The one check of a spec's
+    parameters: no unknown one, and each declared one present as an int
+    (not a bool); range checks are the recognizer's own."""
     if spec.name not in _REGISTRY:
         known = ", ".join(sorted(_REGISTRY))
         raise PredicateError(f"unknown predicate {spec.name!r} (known: {known})")
@@ -672,7 +645,15 @@ def make_recognizer(spec: PredicateSpec, path: DigitalPath) -> Recognizer:
     for key in sorted(spec.params):
         if key not in info.params:
             raise PredicateError(f"predicate {spec.name!r} has no parameter {key!r}")
-    return info.factory(spec, path)
+    values = []
+    for key in info.params:
+        if key not in spec.params:
+            raise PredicateError(f"predicate {spec.name!r} needs parameter {key!r}")
+        v = spec.params[key]
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise PredicateError(f"parameter {key!r} of {spec.name!r} must be an integer")
+        values.append(v)
+    return info.factory(path, *values)
 
 
 # ---------------------------------------------------------------------------

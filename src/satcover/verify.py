@@ -26,6 +26,8 @@ GRID_PREDICATES = (
     PredicateSpec("x_monotone"),
     PredicateSpec("bbox", {"w": 3, "h": 3}),
 )
+# what `run_verification` covers and probes for conservativity
+VERIFIED_PREDICATES = GRID_PREDICATES + (PredicateSpec("y_monotone"),)
 
 
 def iter_corpus(seed: int, count: int, max_points: int = 200, with_index: bool = False):
@@ -111,7 +113,7 @@ def run_verification(seed: int = 0, count: int = 120, max_points: int = 120,
     failures = []
     covers = 0
     for path in corpus:
-        for spec in GRID_PREDICATES + (PredicateSpec("y_monotone"),):
+        for spec in VERIFIED_PREDICATES:
             if not applicable(spec, path):
                 continue
             problems = check_cover_invariants(path, spec)
@@ -128,7 +130,7 @@ def run_verification(seed: int = 0, count: int = 120, max_points: int = 120,
                                not failures, detail))
 
     sample = [p for p in iter_corpus(seed + 1, 40, 40) if p.n_points >= 2]
-    for spec in GRID_PREDICATES:
+    for spec in VERIFIED_PREDICATES:
         paths = [p for p in sample if applicable(spec, p)]
         rep = check_conservative(spec, paths, trials=conservativity_trials, seed=seed)
         results.append(CheckResult(f"conservativity of {spec.name} {spec.params or ''}".strip(),

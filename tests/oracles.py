@@ -68,6 +68,10 @@ pixels that `satcover.trace.emit_path` took before it walked on pixel ids:
 a breadth-first search that builds a tuple for each neighbour of each
 pixel and tests it against the junction's pixel set.  The walk on ids must
 give the same covering walk and the same spine.
+
+`dump_p1_reference` and `dump_p4_reference` are the PBM writers that visit
+every cell of the image; the writers that start from a blank file and mark
+only the foreground pixels must write the same bytes.
 """
 
 from __future__ import annotations
@@ -806,3 +810,22 @@ def junction_tree_walk_reference(pixels: frozenset[Point], entry: Point, exit_: 
         elif stack:
             out.append(stack[-1][0])
     return out
+
+
+def dump_p1_reference(img: BinaryImage) -> bytes:
+    lines = [b"P1", f"{img.width} {img.height}".encode()]
+    for y in range(img.height):
+        lines.append(b" ".join(b"1" if (x, y) in img.foreground else b"0" for x in range(img.width)))
+    return b"\n".join(lines) + b"\n"
+
+
+def dump_p4_reference(img: BinaryImage) -> bytes:
+    row_bytes = (img.width + 7) // 8
+    out = bytearray(f"P4\n{img.width} {img.height}\n".encode())
+    for y in range(img.height):
+        row = bytearray(row_bytes)
+        for x in range(img.width):
+            if (x, y) in img.foreground:
+                row[x >> 3] |= 0x80 >> (x & 7)
+        out += row
+    return bytes(out)

@@ -290,6 +290,11 @@ def test_graph_command(tmp_path, capsys):
             assert main([command, str(src), "--predicate", "dss", "-o", str(target)]) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: ") and f"'{target}'" in err, err
+    # probe writes -o before its table, so a refused file prints no table
+    for target in (tmp_path / "nodir" / "x.json", tmp_path / "taken"):
+        assert main(["probe", "--predicate", "dss", "--sizes", "100", "-o", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and f"'{target}'" in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.dot", "path.json", "taken"]
     assert list((tmp_path / "taken").iterdir()) == []
 
@@ -301,6 +306,7 @@ def test_verify_passes(capsys):
     assert "[PASS]" in out
     assert "[FAIL]" not in out
     assert "detected" in out
+    assert "[PASS] conservativity of y_monotone: conservative over" in out
 
 
 def test_probe_table(tmp_path, capsys):

@@ -45,7 +45,7 @@ class _NeverRecognizer(Recognizer):
 
 register_predicate(PredicateInfo(
     "never", (), True, "false on everything (tests)",
-    lambda spec, path: _NeverRecognizer(path),
+    _NeverRecognizer,
 ))
 
 
@@ -65,7 +65,7 @@ class _GapsRecognizer(Recognizer):
 
 register_predicate(PredicateInfo(
     "gaps", (), True, "at most 5 points, none at an index 3 mod 7 (tests)",
-    lambda spec, path: _GapsRecognizer(path),
+    _GapsRecognizer,
 ))
 
 

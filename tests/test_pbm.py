@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import load_pbm_reference
+from oracles import dump_p1_reference, dump_p4_reference, load_pbm_reference
 from satcover.pbm import BinaryImage, PbmError, dump_p1, dump_p4, image_from_ascii, load_pbm
 
 
@@ -31,6 +31,23 @@ def test_p4_matches_p1_roundtrip():
         assert load_pbm(dump_p1(img)) == img
         assert load_pbm(dump_p4(img)) == img
         assert load_pbm(dump_p4(load_pbm(dump_p1(img)))) == img
+        assert dump_p1(img) == dump_p1_reference(img)
+        assert dump_p4(img) == dump_p4_reference(img)
+
+
+def test_writers_equal_the_cell_by_cell_writers():
+    """Seeded images of every density, widths across the P4 byte edges, and
+    images with no cell at all."""
+    rng = random.Random(7)
+    images = [BinaryImage(w, h, frozenset()) for w, h in ((0, 0), (0, 3), (5, 0))]
+    for _ in range(400):
+        w, h = rng.randint(1, 25), rng.randint(1, 9)
+        density = rng.random()
+        images.append(BinaryImage(w, h, frozenset(
+            (x, y) for x in range(w) for y in range(h) if rng.random() < density)))
+    for img in images:
+        assert dump_p1(img) == dump_p1_reference(img), img
+        assert dump_p4(img) == dump_p4_reference(img), img
 
 
 def test_malformed_inputs():

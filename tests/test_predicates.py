@@ -375,6 +375,34 @@ def test_bad_specs_rejected():
         make_recognizer(PredicateSpec("bbox", {"w": 0, "h": 2}), path)
     with pytest.raises(PredicateError):
         make_recognizer(PredicateSpec("bbox", {"w": 2}), path)
+    # each refusal's text, in make_recognizer's order of checks: the name,
+    # unknown parameters in sorted order, then each declared parameter in
+    # turn; range checks are the recognizer's own
+    refusals = [
+        ("max_len", {"j": 1}, "predicate 'max_len' has no parameter 'j'"),
+        ("dss", {"z": 1, "a": 1}, "predicate 'dss' has no parameter 'a'"),
+        ("max_len", {}, "predicate 'max_len' needs parameter 'k'"),
+        ("bbox", {"w": 2}, "predicate 'bbox' needs parameter 'h'"),
+        ("bbox", {"h": "x"}, "predicate 'bbox' needs parameter 'w'"),
+        ("max_len", {"k": "3"}, "parameter 'k' of 'max_len' must be an integer"),
+        ("max_len", {"k": 1.5}, "parameter 'k' of 'max_len' must be an integer"),
+        ("bbox", {"w": "x", "h": 0}, "parameter 'w' of 'bbox' must be an integer"),
+        ("max_len", {"k": True}, "parameter 'k' of 'max_len' must be an integer"),
+        ("max_len", {"k": 0}, "max_len requires k >= 1, got 0"),
+        ("bbox", {"w": 0, "h": 2}, "bbox requires w >= 1 and h >= 1, got 0x2"),
+    ]
+    for name, params, message in refusals:
+        with pytest.raises(PredicateError) as info:
+            make_recognizer(PredicateSpec(name, params), path)
+        assert str(info.value) == message, (name, params)
+    with pytest.raises(PredicateError) as info:
+        make_recognizer(PredicateSpec("no_such_predicate"), path)
+    # the test suite may have registered predicates of its own
+    known = str(info.value).removeprefix("unknown predicate 'no_such_predicate' (known: ")
+    assert known.endswith(")")
+    names = known[:-1].split(", ")
+    assert names == sorted(names)
+    assert {"bbox", "contains_start", "dss", "max_len", "x_monotone", "y_monotone"} <= set(names)
 
 
 def test_registry_listing():

@@ -74,7 +74,7 @@ def test_program_has_no_unused_imports():
 def test_bench_layers_smoke(tmp_path):
     """One run on the 1k circle and the 1k rasters only, appended twice to
     the same file: every row, the P4 rows included, has its keys; no
-    timing is asserted."""
+    timing and no collection count is asserted."""
     for lineno, names in _imports(BENCH_LAYERS):
         for name in names:
             top = name.partition(".")[0]
@@ -92,15 +92,20 @@ def test_bench_layers_smoke(tmp_path):
         ["cover.dss", "cover.max_len", "cover.bbox", "cover.x_monotone", "trace.ring", "trace.bar",
          "pbm.load", "trace.pbm.ring", "trace.pbm.bar", "trace.pbm.comb"]
     for row in run["rows"][:4]:
-        assert set(row) == {"layer", "params", "n", "us_per_point", "spread", "calls_per_point"}
+        assert set(row) == {"layer", "params", "n", "us_per_point", "spread", "calls_per_point",
+                            "gc"}
         assert len(row["n"]) == len(row["us_per_point"]) == len(row["calls_per_point"]) == 1
         assert row["n"][0] > 900 and row["calls_per_point"][0] > 0
     load = run["rows"][6]
-    assert set(load) == {"layer", "n", "us_per_pixel", "spread", "cells", "ns_per_cell"}
+    assert set(load) == {"layer", "n", "us_per_pixel", "spread", "cells", "ns_per_cell", "gc"}
     assert len(load["cells"]) == len(load["ns_per_cell"]) == 1
     assert load["cells"][0] > load["n"][0]
     for row in run["rows"][4:6] + run["rows"][7:]:
-        assert set(row) == {"layer", "n", "us_per_pixel", "spread"}
+        assert set(row) == {"layer", "n", "us_per_pixel", "spread", "gc"}
     for row in run["rows"][4:]:
         assert len(row["n"]) == len(row["us_per_pixel"]) == 1
         assert row["n"][0] > 900
+    for row in run["rows"]:
+        # the gen 0, 1 and 2 collections of one call at each size
+        assert len(row["gc"]) == 1 and len(row["gc"][0]) == 3
+        assert all(isinstance(c, int) and c >= 0 for c in row["gc"][0])

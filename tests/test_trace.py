@@ -465,6 +465,66 @@ def test_eulerize_trees_above_the_cap_by_parity():
         assert _duplicated_weight(eg) == want
 
 
+def _lattice(rng):
+    """One-pixel lines bounding 2-4 by 2-4 cells of seeded sizes."""
+    xs, ys = [0], [0]
+    for lines in (xs, ys):
+        for _ in range(rng.randint(2, 4)):
+            lines.append(lines[-1] + rng.randint(2, 5))
+    w, h = xs[-1] + 1, ys[-1] + 1
+    return w, h, frozenset({(x, y) for x in range(w) for y in ys}
+                           | {(x, y) for x in xs for y in range(h)})
+
+
+def _comb(rng):
+    """A one-pixel spine along row 6 with teeth of seeded lengths above and
+    below it, at least 2 columns apart."""
+    w = rng.randint(6, 24)
+    fg = {(x, 6) for x in range(w)}
+    for x in range(0, w, 2):
+        if rng.random() < 0.6:
+            fg.update((x, 6 + side * k) for side in (-1, 1) if rng.random() < 0.7
+                      for k in range(1, rng.randint(1, 6) + 1))
+    return w, 13, frozenset(fg)
+
+
+def _symmetric_images(w, h, fg):
+    """The image under each of the 8 symmetries of the square."""
+    for swap in (False, True):
+        sw, sh = (h, w) if swap else (w, h)
+        pixels = [(y, x) if swap else (x, y) for x, y in fg]
+        for fx in (False, True):
+            for fy in (False, True):
+                yield BinaryImage(sw, sh, frozenset(
+                    (sw - 1 - x if fx else x, sh - 1 - y if fy else y) for x, y in pixels))
+
+
+def test_eulerize_weight_is_invariant_under_symmetries_and_translation():
+    """The duplicated weight of an optimal eulerization is a property of the
+    raster's shape: each of the 8 symmetries of the square, and a seeded
+    translation, gives the same weight even where the tie-break pairs other
+    vertices.  Seeded lattices (one block of up to 12 odd vertices, under
+    MAX_ODD) and combs (trees), at both adjacencies."""
+    rng = random.Random(29)
+    paired = 0
+    for case in range(30):
+        w, h, fg = (_lattice if case % 2 else _comb)(rng)
+        dx, dy = rng.randint(1, 7), rng.randint(1, 7)
+        shifted = BinaryImage(w + dx + rng.randint(0, 3), h + dy + rng.randint(0, 3),
+                              frozenset((x + dx, y + dy) for x, y in fg))
+        for adjacency in (FOUR, EIGHT):
+            weights = set()
+            for img in (*_symmetric_images(w, h, fg), shifted):
+                eg = eulerize(build_curve_graph(img, adjacency))
+                assert eg.odd_vertices() == []
+                weights.add(_duplicated_weight(eg))
+            assert len(weights) == 1, (case, adjacency, weights)
+            paired += weights != {0}
+    # narrow cells merge the junctions of an 8-lattice, and a comb may have
+    # no tooth, so a few cases have no odd vertex
+    assert paired >= 50
+
+
 def _multigraph(n, pairs):
     """n vertices joined by pixel-free edges, one per (u, v) pair."""
     return CurveGraph(tuple(Vertex("junction", ((v, 0),)) for v in range(n)),
