@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Layer timings: the saturated cover of each shipped predicate on
-digitized circles of about 1k, 10k and 100k points, and the trace of
-rasters of about as many pixels.
+digitized circles and seeded random walks of about 1k, 10k and 100k
+points, and the trace of rasters of about as many pixels.
 
 A cover row is one predicate's cover.  It gives the best time per point
 over --repeat runs at each size, with the sizes interleaved; the spread of
 those times across the sizes (largest over smallest); and the predicate
 calls per point.  The times and counts come from `cover.complexity_probe`.
+`cover.<pred>` rows run on circles, where windows are long;
+`cover.<pred>.walk` rows run on 8-connected random walks (seed 7), where
+most windows hold a point or two.
 
 A trace row gives the best time per pixel of `trace.trace_image` under
 8-adjacency and its spread, in the same way.  `trace.ring` traces the
@@ -29,10 +32,13 @@ Every row also gives, at each size, the garbage collector's gen 0, 1 and
 The program is imported from --src (default ./src), so a second checkout
 can be measured in alternation with this one.  --out appends the run to a
 JSON list, with the git revision of --src, the Python version, the machine
-and the date.
+and the date.  --alternate PARENT_SRC measures PARENT_SRC, then --src,
+each in a fresh process, and appends both runs, each with its side,
+"parent" or "change".
 
     python3 scripts/bench_layers.py --out BENCH_layers.json
     python3 scripts/bench_layers.py --src ../other/src --out BENCH_layers.json
+    python3 scripts/bench_layers.py --alternate ../parent/src --out BENCH_layers.json
 """
 
 import argparse
@@ -91,34 +97,44 @@ def collections(call) -> list:
 def cover_rows(sizes, repeat: int) -> list:
     from satcover import synth
     from satcover.cover import complexity_probe
+    from satcover.paths import Adjacency
     from satcover.predicates import PredicateSpec
 
-    paths = {size: synth.circle_path_of_size(size) for size in sizes}
+    shapes = {
+        "": lambda size: synth.circle_path_of_size(size),
+        ".walk": lambda size: synth.random_walk_path(size, Adjacency.EIGHT, seed=7),
+    }
+    paths = {(shape, size): make(size) for shape, make in shapes.items() for size in sizes}
 
-    def cover(name, params, size):
-        (row,) = complexity_probe(PredicateSpec(name, params), [size], paths.__getitem__)
+    def cover(name, params, shape, size):
+        (row,) = complexity_probe(PredicateSpec(name, params), [size],
+                                  lambda size: paths[shape, size])
         return row
 
     best = {}
     for _ in range(repeat):
         for size in sizes:
-            for name, params in COVERS:
-                row = cover(name, params, size)
-                if (name, size) not in best or row.seconds < best[name, size].seconds:
-                    best[name, size] = row
+            for shape in shapes:
+                for name, params in COVERS:
+                    row = cover(name, params, shape, size)
+                    key = name, shape, size
+                    if key not in best or row.seconds < best[key].seconds:
+                        best[key] = row
     rows = []
-    for name, params in COVERS:
-        probe = [best[name, size] for size in sizes]
-        us = [r.us_per_point for r in probe]
-        rows.append({
-            "layer": f"cover.{name}",
-            "params": params,
-            "n": [r.n_points for r in probe],
-            "us_per_point": [round(u, 3) for u in us],
-            "spread": round(max(us) / min(us), 3),
-            "calls_per_point": [round(r.ratio, 4) for r in probe],
-            "gc": [collections(lambda size=size: cover(name, params, size)) for size in sizes],
-        })
+    for shape in shapes:
+        for name, params in COVERS:
+            probe = [best[name, shape, size] for size in sizes]
+            us = [r.us_per_point for r in probe]
+            rows.append({
+                "layer": f"cover.{name}{shape}",
+                "params": params,
+                "n": [r.n_points for r in probe],
+                "us_per_point": [round(u, 3) for u in us],
+                "spread": round(max(us) / min(us), 3),
+                "calls_per_point": [round(r.ratio, 4) for r in probe],
+                "gc": [collections(lambda size=size: cover(name, params, shape, size))
+                       for size in sizes],
+            })
     return rows
 
 
@@ -240,21 +256,42 @@ def raster_rows(sizes, repeat: int) -> list:
                      for shape in shapes]
 
 
+def alternate(args) -> int:
+    """Measure the parent's sources, then --src, each in a fresh process,
+    and record each run's side in --out."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--sizes", args.sizes,
+           "--repeat", str(args.repeat)] + (["--out", args.out] if args.out else [])
+    for side, src in (("parent", args.alternate), ("change", args.src)):
+        print(f"{side}: {src}", flush=True)
+        subprocess.run(cmd + ["--src", src], check=True)
+        if args.out:
+            out = Path(args.out)
+            runs = json.loads(out.read_text())
+            runs[-1]["side"] = side
+            out.write_text(json.dumps(runs, indent=1) + "\n")
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default="src", help="directory holding the satcover package")
     ap.add_argument("--sizes", default=",".join(map(str, SIZES)),
-                    help="comma-separated circle and raster sizes (default %(default)s)")
+                    help="comma-separated circle, walk and raster sizes (default %(default)s)")
     ap.add_argument("--repeat", type=int, default=5, help="runs per size; the best counts")
     ap.add_argument("--out", help="JSON file to append this run to")
+    ap.add_argument("--alternate", metavar="PARENT_SRC",
+                    help="measure PARENT_SRC, then --src, each in a fresh process")
     args = ap.parse_args()
     sizes = args.sizes.split(",")
     if args.repeat < 1 or not all(s.isdigit() and int(s) > 0 for s in sizes):
         ap.error("--repeat and every size must be positive integers")
     sizes = [int(s) for s in sizes]
+    for src in [args.src] + ([args.alternate] if args.alternate else []):
+        if not (Path(src).resolve() / "satcover" / "__init__.py").is_file():
+            ap.error(f"no satcover package under {Path(src).resolve()}")
+    if args.alternate:
+        return alternate(args)
     src = Path(args.src).resolve()
-    if not (src / "satcover" / "__init__.py").is_file():
-        ap.error(f"no satcover package under {src}")
     sys.path.insert(0, str(src))
     run = {
         "revision": git_revision(src),
@@ -274,11 +311,11 @@ def main() -> int:
             cells = ""
             if "ns_per_cell" in row:
                 cells = "  ns/cell " + " / ".join(f"{c:.2f}" for c in row["ns_per_cell"])
-            print(f"{row['layer']:<18} us/pixel {us}  spread {row['spread']:.2f}{cells}{gcs}")
+            print(f"{row['layer']:<22} us/pixel {us}  spread {row['spread']:.2f}{cells}{gcs}")
             continue
         us = " / ".join(f"{u:.2f}" for u in row["us_per_point"])
         calls = " / ".join(f"{c:.2f}" for c in row["calls_per_point"])
-        print(f"{row['layer']:<18} us/point {us}  spread {row['spread']:.2f}  calls/n {calls}{gcs}")
+        print(f"{row['layer']:<22} us/point {us}  spread {row['spread']:.2f}  calls/n {calls}{gcs}")
     if args.out:
         out = Path(args.out)
         runs = json.loads(out.read_text()) if out.exists() else []

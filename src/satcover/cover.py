@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .paths import DigitalPath, IndexInterval
 from .predicates import PredicateSpec, Recognizer, make_recognizer
@@ -72,44 +72,42 @@ def _finish(path, spec, keys, *recs: Recognizer) -> SaturatedCover:
 
 
 def _seed(rec: Recognizer, t: int, limit: int) -> int:
-    """Reset `rec` at t, t+1, ... (mod n) until the singleton holds; returns
-    that index, or `limit` when every singleton before it fails."""
-    n1 = rec.n_points
-    while t < limit and not rec.reset(t % n1):
+    """Reset `rec` at t, t+1, ... (unwrapped) until the singleton holds;
+    returns that index, or `limit` when every singleton before it fails."""
+    while t < limit and not rec.reset(t):
         t += 1
     return t
 
 
-def _restart(rec: Recognizer, probe: Recognizer, i: int, q: int,
-             limit: int) -> Optional[tuple[int, int]]:
-    """Move the window i .. q - 1 of `rec` on past q.
-
-    When the singleton at q holds, shrink from the negative side until the
-    extension to q holds again and return the new (start, end = q).
-    Otherwise seed afresh past q and return (t, t) with t > q, or None when
-    the seed scan reaches `limit`.
-    """
-    if not probe.reset(q % rec.n_points):
-        t = _seed(rec, q + 1, limit)
-        return None if t >= limit else (t, t)
-    while i < q - 1:
-        rec.remove_negative_end()
-        i += 1
-        if rec.try_extend_positive():
-            return i, q
-    rec.reset(q % rec.n_points)  # known true from the probe
-    return q, q
+def _grow_fresh(rec: Recognizer, two_sided: bool) -> None:
+    """Grow a freshly seeded window until it is saturated: alternately on
+    both sides while both can grow (positive side first on odd length),
+    then on whichever side still can; with `two_sided` off, on its positive
+    side only."""
+    pos_ok, neg_ok = True, two_sided
+    while pos_ok and neg_ok and rec.room(True) and rec.room(False):
+        if rec.length % 2:
+            pos_ok = rec.grow(True, 1) == 1
+        else:
+            neg_ok = rec.grow(False, 1) == 1
+    if pos_ok:
+        rec.grow(True, rec.room(True))
+    if neg_ok:
+        rec.grow(False, rec.room(False))
 
 
 def _sweep(path: DigitalPath, spec: PredicateSpec, two_sided: bool) -> SaturatedCover:
     """The incremental sweep: grow a window until it is saturated, then move
-    on past its positive end and shrink from its negative end.
+    on past its positive end, shrinking from its negative end, with one
+    recognizer run per window move.
 
-    With `two_sided`, a window grows alternately around each fresh seed
-    (positive side first on odd length); otherwise it grows on its positive
-    side only.  On closed paths the sweep stops at a repeated segment or one
-    wrap past the first one, and drops the first segment if a later one
-    contains it.
+    When the singleton past the window holds, `Recognizer.slide` drops the
+    window's negative end until that point joins, or restarts there, and
+    grows it positively; the last refused join rules the negative side out
+    for good.  Otherwise the sweep seeds afresh past it, and the fresh
+    window grows as `_grow_fresh` says.  On closed paths the sweep stops at
+    a repeated segment or one wrap past the first one, and drops the first
+    segment if a later one contains it.
     """
     n1 = path.n_points
     rec = make_recognizer(spec, path)
@@ -123,49 +121,34 @@ def _sweep(path: DigitalPath, spec: PredicateSpec, two_sided: bool) -> Saturated
 
     # on closed paths the seed scan may wrap this far
     limit = t + n1 if closed else n1
-    i = j = t
-    pos_ok, neg_ok = True, two_sided
+    fresh = True
 
     while True:
-        # Increase / Check / Maximality: alternate sides while both can grow,
-        # then finish on whichever side still can.
-        while pos_ok and neg_ok and j - i + 1 < n1 and (closed or (0 < i and j < n1 - 1)):
-            if (j - i) % 2 == 0:
-                if rec.try_extend_positive():
-                    j += 1
-                else:
-                    pos_ok = False
-            elif rec.try_extend_negative():
-                i -= 1
-            else:
-                neg_ok = False
-        while pos_ok and j - i + 1 < n1 and (closed or j < n1 - 1) and rec.try_extend_positive():
-            j += 1
-        while neg_ok and j - i + 1 < n1 and (closed or i > 0) and rec.try_extend_negative():
-            i -= 1
-
-        length = j - i + 1
+        if fresh:
+            _grow_fresh(rec, two_sided)
+        i, length = rec._start, rec._length
         if closed and length == n1:
             # the whole circle, canonical start 0
             return _finish(path, spec, {(0, n1): None}, rec, probe)
         key = (i % n1, length)
         if key in keys:
             break  # wrapped around onto a known segment
+        q = i + length
         if not keys:
-            # j only grows: stop one wrap past the first segment, or at the path's end
-            last_q = j + n1 if closed else n1 - 1
+            # the end only grows: stop one wrap past the first segment, or at
+            # the path's end
+            last_q = q - 1 + n1 if closed else n1 - 1
         keys[key] = None
 
-        q = j + 1
         if q > last_q:
             break
-        window = _restart(rec, probe, i, q, limit)
-        if window is None:
-            break
-        i, j = window
-        # a fresh seed past q may grow both ways; after a shrink, the
-        # shrink's last failure rules the negative side out for good
-        pos_ok, neg_ok = True, two_sided and i > q
+        fresh = not probe.reset(q % n1)
+        if fresh:
+            t = _seed(rec, q + 1, limit)
+            if t >= limit:
+                break
+        else:
+            rec.slide(length - 1)
 
     if closed:
         # a forward-grown first segment may not be saturated on its negative
@@ -213,8 +196,7 @@ def brute_force_cover(
     lmax = [0] * n1
     s = _seed(rec, 0, n1)
     while s < n1:
-        while rec.try_extend_positive():
-            pass
+        rec.grow(True, n1)  # to the first refusal, at the boundary included
         lmax[s] = rec.length
         s = _seed(rec, s + 1, n1)
     if closed and any(L == n1 for L in lmax):

@@ -3,9 +3,9 @@
 A predicate is *conservative* when truth on an interval implies truth on
 every sub-interval (equivalently, falsity is inherited by every superset).
 Each predicate ships as a Recognizer: a small state machine that represents
-one interval at a time, always satisfying the predicate, and supports
-resetting to a singleton, extending at either end, and dropping the point
-at the negative end.
+one interval at a time, always satisfying the predicate.  It resets to a
+singleton and moves in runs, one call each: growing at either end, or
+sliding on past the positive end by dropping points at the negative end.
 """
 
 from __future__ import annotations
@@ -45,14 +45,27 @@ class Recognizer:
 
     The recognizer represents a single interval and the represented
     interval always satisfies the predicate.  `reset` re-targets it to a
-    singleton and reports whether the predicate holds there; each
-    `try_extend_*` either succeeds (the interval grows by one point) or
-    fails leaving the state unchanged.  `remove_negative_end` drops the
-    first point; each predicate notes what its removal costs.
+    singleton and reports whether the predicate holds there.  The interval
+    then moves in runs, each one method call:
 
-    `calls` counts predicate evaluations: one per `reset`, one per
-    `try_extend_*` (successful or not) and one per `holds`.  Removals are
-    state maintenance and do not count.
+    - `grow(positive, limit)` extends it on one side until an attempt fails
+      or `limit` attempts are made;
+    - `slide(removals)` drops points at its negative end until the point
+      past its positive end joins, or resets there, and then grows
+      positively up to the path's boundary.
+
+    `try_extend_positive`, `try_extend_negative`, `remove_negative_end`
+    and `holds` are runs of one.  The interval is `_start`, an unwrapped
+    index, and `_length`; `room` gives how far it can grow on a side.
+
+    `calls` counts predicate evaluations: one per reset, one per attempted
+    extension (successful or not, an attempt refused at the boundary
+    included) and one per `holds`.  Removals are state maintenance and do
+    not count.
+
+    A predicate needs only the three hooks below: the runs here call them
+    one point at a time.  A subclass may override `grow`, `slide` and
+    `remove_negative_end` for speed, keeping the counts.
     """
 
     def __init__(self, path: DigitalPath):
@@ -90,9 +103,20 @@ class Recognizer:
     def length(self) -> int:
         return self._length
 
+    def room(self, positive: bool) -> int:
+        """The extensions that fit on one side before the boundary: an open
+        end, or the full turn of a closed path; 0 on an empty state."""
+        length = self._length
+        if not length:
+            return 0
+        if self._closed:
+            return self.n_points - length
+        return self.n_points - self._start - length if positive else self._start
+
     def reset(self, index: int) -> bool:
-        """Represent the singleton at `index`; False if the predicate fails there
-        (the state is then empty and must be reset again before use)."""
+        """Represent the singleton at `index`, which may be unwrapped; False if
+        the predicate fails there (the state is then empty and must be reset
+        again before use)."""
         self.calls += 1
         self._start = index
         self._length = 0
@@ -102,36 +126,71 @@ class Recognizer:
             self._length = 1
         return ok
 
-    # The two extensions are written out apiece, one frame above the hook:
-    # each adds the point at unwrapped index `nxt`, just past its end.
+    def grow(self, positive: bool, limit: int) -> int:
+        """Extend on the positive (negative) side, one point per attempt,
+        until an attempt fails or `limit` attempts are made; returns the
+        points added.  An attempt past the boundary fails."""
+        room = self.room(positive)
+        tries = limit if limit < room else room
+        n1 = self.n_points
+        closed = self._closed
+        points = self._points
+        length = self._length
+        added = 0
+        while added < tries:
+            nxt = self._start + length if positive else self._start - 1
+            idx = nxt % n1
+            if not self._try_add(idx, points[idx], positive, closed and length + 1 == n1):
+                self.calls += added + 1
+                return added
+            if not positive:
+                self._start = nxt
+            self._length = length = length + 1
+            added += 1
+        self.calls += added + (limit > room)
+        return added
+
+    def _check_slide(self, removals: int) -> int:
+        """The unwrapped index past the positive end, which a slide of
+        `removals` drops waits for; ValueError if there is none or the
+        interval has fewer than `removals` + 1 points."""
+        q = self._start + self._length
+        if not 0 <= removals < self._length or not (self._closed or q < self.n_points):
+            raise ValueError(f"cannot slide {removals} points off the interval "
+                             f"start={self._start} len={self._length}")
+        return q
+
+    def slide(self, removals: int) -> None:
+        """Drop the negative end, then attempt to add the point past the
+        positive end, until it joins; after `removals` drops without a join,
+        reset there.  Then grow positively up to the boundary, attempting
+        nothing past it."""
+        q = self._check_slide(removals)
+        n1 = self.n_points
+        closed = self._closed
+        points = self._points
+        idx = q % n1
+        p = points[idx]
+        while removals:
+            removals -= 1
+            k = self._start % n1
+            self._on_remove(k, points[k], closed and self._length == n1)
+            self._start += 1
+            self._length -= 1
+            self.calls += 1
+            if self._try_add(idx, p, True, closed and self._length + 1 == n1):
+                self._length += 1
+                break
+        else:
+            if not self.reset(q):
+                return
+        self.grow(True, n1 - self._length if closed else n1 - q - 1)
 
     def try_extend_positive(self) -> bool:
-        self.calls += 1
-        n1 = self.n_points
-        length = self._length
-        nxt = self._start + length
-        # empty, a full turn already (never wrap past it), or past the open end
-        if not 0 < length < n1 or not (self._closed or 0 <= nxt < n1):
-            return False
-        idx = nxt % n1
-        if self._try_add(idx, self._points[idx], True, self._closed and length + 1 == n1):
-            self._length = length + 1
-            return True
-        return False
+        return self.grow(True, 1) == 1
 
     def try_extend_negative(self) -> bool:
-        self.calls += 1
-        n1 = self.n_points
-        length = self._length
-        nxt = self._start - 1
-        if not 0 < length < n1 or not (self._closed or 0 <= nxt < n1):
-            return False
-        idx = nxt % n1
-        if self._try_add(idx, self._points[idx], False, self._closed and length + 1 == n1):
-            self._start = nxt
-            self._length = length + 1
-            return True
-        return False
+        return self.grow(False, 1) == 1
 
     def remove_negative_end(self) -> None:
         if self._length < 2:
@@ -153,12 +212,7 @@ class Recognizer:
 
     def _holds(self, iv: IndexInterval) -> bool:
         """Replay the interval from its start."""
-        if not self.reset(iv.start):
-            return False
-        for _ in range(iv.length - 1):
-            if not self.try_extend_positive():
-                return False
-        return True
+        return self.reset(iv.start) and self.grow(True, iv.length - 1) == iv.length - 1
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +224,29 @@ class Recognizer:
 # w = |a|+|b| on 4-connected ones.  Because the path moves by unit steps, the
 # *distinct* points of any band-feasible interval form a classic connected
 # segment in geometric order; the path may wander back and forth along it.
-# The recognizer therefore keeps a multiplicity count per point plus a
-# "core": the distinct points as a deque in geometric order, carrying
-# arithmetic characteristics (a, b, mu) and the four leaning points.  A
-# revisit only bumps its point's count; a new point must extend the core.
+# The recognizer therefore keeps a "core": the distinct points as a deque in
+# geometric order, carrying arithmetic characteristics (a, b, mu) and the
+# four leaning points.  A revisit leaves the core as it is; a new point must
+# extend the core.
+#
+# A step (dx, dy) between core points is coded 3 * dx + dy, in -4..4; a
+# list of 9 counts indexed by the code holds the core's steps (a negative
+# code indexes from the end of the list, so no two codes share a slot).
+
+_STEP_CODES = {adj: frozenset(3 * dx + dy for dx, dy in steps) for adj, steps in UNIT_STEPS.items()}
+
+
+def _turns(adjacency: Adjacency) -> dict:
+    """The steps a core with the one step direction d accepts next, by the
+    code of d: s.d > 0 on 8-paths (d or an eighth turn), s.d >= 0 on
+    4-paths (d or a quarter turn)."""
+    least = 1 if adjacency is Adjacency.EIGHT else 0
+    steps = UNIT_STEPS[adjacency]
+    return {3 * dx + dy: frozenset(3 * sx + sy for sx, sy in steps if sx * dx + sy * dy >= least)
+            for dx, dy in steps}
+
+
+_TURNS = {adj: _turns(adj) for adj in UNIT_STEPS}
 
 
 class DssRecognizer(Recognizer):
@@ -189,14 +262,15 @@ class DssRecognizer(Recognizer):
     removed extremity was one of exactly two leaning points of its kind
     and the other kind has one.
 
-    Both ends of the core are the same operation seen from opposite sides,
-    so each is written once and indexed by the end: 0 for the first core
-    point, 1 for the last.  Each hook is one frame, apart from the line
-    turns, and the band width w is stored beside (a, b, mu).  Steps are read
-    in core order, first to last.
-    A core with two step directions accepts only those two; a core with one
-    direction d accepts a step s iff s.d > 0 on 8-paths (d or an eighth
-    turn) and s.d >= 0 on 4-paths (d or a quarter turn).
+    Every run is one loop, `_run`, over local copies of the state, with the
+    add and the drop each written once.  Both ends of the core are the same
+    operation seen from opposite sides, so each is indexed by the end: 0
+    for the first core point, 1 for the last.  Steps are read in core
+    order, first to last.  A core with two step directions accepts only
+    those two; a core with one accepts the turns of `_turns`.
+
+    Whether a point is already in the interval is read from its occurrence
+    gaps (`_gaps`), computed once per path, so no multiplicities are kept.
     """
 
     def __init__(self, path: DigitalPath):
@@ -204,11 +278,8 @@ class DssRecognizer(Recognizer):
             raise PredicateError("dss requires grid adjacency (4 or 8), not index-only")
         super().__init__(path)
         self._naive = path.adjacency is Adjacency.EIGHT
-        self._units = UNIT_STEPS[path.adjacency]
-        # occurrences in the interval of each of its distinct points, never
-        # 0; a plain dict because every new point is a miss, and a Counter
-        # miss runs its Python-level __missing__
-        self._counts: dict = {}
+        self._codes = _STEP_CODES[path.adjacency]
+        self._turns = _TURNS[path.adjacency]
         self._core: deque = deque()
         self._chars = None  # (a, b, mu) or None while the core is a singleton
         # the band width w of _chars, updated with it
@@ -216,7 +287,38 @@ class DssRecognizer(Recognizer):
         # [Uf, Ul, Lf, Ll]: the upper leaning point at end e is _lean[e],
         # the lower one _lean[2 + e]
         self._lean = None
-        self._steps: dict = {}  # step vector -> occurrences in the core
+        self._dirs = ()  # the codes of the core's one or two step directions
+        self._steps = [0] * 9  # occurrences of each step code in the core
+        self._prev = self._next = None  # see _gaps
+        # attempts to add a point, revisits and refusals included
+        self.extensions = 0
+
+    def _gaps(self) -> tuple[list, list]:
+        """For each index, the distances back and ahead to the nearest other
+        occurrence of its point, cyclic on closed paths, or n when it has
+        none.  One shared constant list when the points are distinct."""
+        n1 = self.n_points
+        points = self._points
+        if len(set(points)) == n1:
+            gaps = [n1] * n1
+            return gaps, gaps
+        prev = [n1] * n1
+        nxt = [n1] * n1
+        first: dict = {}
+        last: dict = {}
+        for i, p in enumerate(points):
+            j = last.get(p)
+            if j is None:
+                first[p] = i
+            else:
+                prev[i] = nxt[j] = i - j
+            last[p] = i
+        if self._closed:
+            for p, i in first.items():
+                j = last[p]
+                if j != i:
+                    prev[i] = nxt[j] = i + n1 - j
+        return prev, nxt
 
     # -- characteristics ----------------------------------------------------
 
@@ -232,206 +334,324 @@ class DssRecognizer(Recognizer):
             a, b, mu = -a, -b, -mu - self._width + 1
         return (a, b, mu)
 
-    # -- hooks ---------------------------------------------------------------
+    # -- runs ------------------------------------------------------------------
 
-    def _on_reset(self, index: int, p: Point) -> bool:
-        self._counts = {p: 1}
-        self._core = deque([p])
-        self._chars = None
-        self._lean = None
-        self._steps = {}
+    def reset(self, index: int) -> bool:
+        self.calls += 1
+        self._start = index
+        self._length = 1
+        self._core = deque((self._points[index % self.n_points],))
+        self._chars = self._lean = None
+        self._dirs = ()
+        self._steps = [0] * 9
         return True
 
-    def _try_add(self, index: int, p: Point, positive: bool, closing: bool) -> bool:
-        # band membership is a property of the point multiset, so the
-        # wrap join needs no extra handling here
-        counts = self._counts
-        count = counts.get(p)
-        if count:
-            counts[p] = count + 1
-            return True
-        # a new point must be adjacent to a core end, which it then extends
+    def grow(self, positive: bool, limit: int) -> int:
+        return self._run(0, False, positive, limit)
+
+    def slide(self, removals: int) -> None:
+        self._check_slide(removals)
+        self._run(removals, True, True, 0)
+
+    def remove_negative_end(self) -> None:
+        if self._length < 2:
+            raise ValueError("cannot remove from an interval of fewer than 2 points")
+        self._run(1, False, True, 0)
+
+    def _run(self, removals: int, join: bool, positive: bool, limit: int) -> int:
+        """Drop `removals` points at the negative end; with `join`, attempt
+        after each drop to add the point past the positive end, stop
+        dropping once it joins, and reset there if it never does, then grow
+        positively up to the boundary.  Without drops, add points on the
+        positive (negative) side until an attempt fails or `limit` attempts
+        are made, as `Recognizer.grow` does.  Returns the points added
+        after the drops and the join."""
+        if self._prev is None:
+            self._prev, self._next = self._gaps()
+        n1 = self.n_points
+        closed = self._closed
+        points = self._points
+        nxt = self._next
+        # an added point is already in the interval when its nearest other
+        # occurrence on the interval's side is at most `length` away
+        seen = self._prev if positive else nxt
+        naive = self._naive
+        codes = self._codes
+        turns = self._turns
+        start = self._start
+        length = self._length
         core = self._core
-        x, y = p
-        if self._chars is None:
-            # the first step: the line through both points, of width 1
-            q = core[0]
-            step = (x - q[0], y - q[1])
-            if step not in self._units:
-                return False
-            a, b = step[1], step[0]
-            self._chars = (a, b, a * q[0] - b * q[1])
-            self._width = 1
-            self._lean = [q, p, q, p]
-            self._steps = {step: 1}
-            core.append(p)
-            counts[p] = 1
-            return True
-
-        a, b, mu = self._chars
-        om = self._width
-        r = a * x - b * y
-        if not mu - 1 <= r <= mu + om:
-            return False  # no end can take a point this far off the band
-        steps = self._steps
         lean = self._lean
-        for end in (1, 0):  # the last core point first, then the first
-            if end:
-                q = core[-1]
-                step = (x - q[0], y - q[1])
-            else:
-                q = core[0]
-                step = (q[0] - x, q[1] - y)
-            # the step must be a unit step next to the core's only direction
-            # (see the class docstring), or one of its two directions
-            if len(steps) == 1:
-                (d,) = steps
-                dot = step[0] * d[0] + step[1] * d[1]
-                if step not in self._units or dot < 0 or (dot == 0 and self._naive):
+        counts = self._steps
+        dirs = self._dirs
+        if dirs:
+            a, b, mu = self._chars
+            om = self._width
+            allowed = dirs if len(dirs) == 2 else turns[dirs[0]]
+        calls = extensions = added = 0
+        dropping = removals > 0 or join
+        budget = 0
+        boundary = False
+        if join:
+            qx, qy = points[(start + length) % n1]  # the point the drops wait for
+        elif not dropping:
+            room = self.room(positive)
+            budget = min(limit, room)
+            boundary = limit > room
+        while True:
+            if dropping:
+                if not removals:
+                    if not join:
+                        break
+                    # no drop let the point past the positive end join:
+                    # start afresh there
+                    calls += 1
+                    start += length
+                    length = 1
+                    core = deque((points[start % n1],))
+                    for code in dirs:
+                        counts[code] = 0
+                    dirs = ()
+                    lean = None
+                    dropping = False
+                    budget = n1 - 1 if closed else n1 - start - 1
                     continue
-            elif step not in steps:
-                continue
-            if mu <= r < mu + om:
-                if r == mu:
-                    lean[end] = p
-                if r == mu + om - 1:
-                    lean[2 + end] = p
-            else:
-                # p lies just above (below) the band: the line turns about
-                # the upper (lower) leaning point at the far end, and the
-                # lower (upper) leaning point at p's end is the only one of
-                # its kind that survives, so it becomes the one at both ends.
-                upper = r < mu
-                same = 0 if upper else 2
-                other = 2 - same
-                witness = lean[other + end]
-                new = self._slope_through(p, lean[same + 1 - end], witness, upper)
-                if new is None:
+                removals -= 1
+                # -- the drop of the negative end ------------------------------
+                idx = start % n1
+                if nxt[idx] >= length:
+                    # the last occurrence of p leaves the interval.  A point
+                    # whose last occurrence leaves is always a geometric
+                    # extremity: interior columns/rows stay visited as long
+                    # as the interval spans both sides of them.  `anchor` is
+                    # its neighbour in the core, and `sign` * (b, a) the
+                    # period pointing inward from its core end: +1 at the
+                    # first end, -1 at the last.
+                    p = points[idx]
+                    if core[0] == p:
+                        core.popleft()
+                        anchor, end, sign = core[0], 0, 1
+                    elif core[-1] == p:
+                        core.pop()
+                        anchor, end, sign = core[-1], 1, -1
+                    else:
+                        raise AssertionError(f"removed point {p} is interior to the segment core")
+                    code = sign * (3 * (anchor[0] - p[0]) + anchor[1] - p[1])
+                    count = counts[code] - 1
+                    counts[code] = count
+                    if not count:
+                        dirs = dirs[1:] if dirs[0] == code else dirs[:1]
+                        if dirs:
+                            allowed = turns[dirs[0]]
+                    if not dirs:
+                        lean = None
+                    else:
+                        # leaning points of one kind are one period (b, a)
+                        # apart; `u`, `l` are those at p's end of the core,
+                        # `u_far`, `l_far` at the other
+                        u, l = lean[end], lean[2 + end]
+                        if p == u or p == l:
+                            far = 1 - end
+                            u_far, l_far = lean[far], lean[2 + far]
+                            inward = (p[0] + sign * b, p[1] + sign * a)
+                            if p == u and u_far == inward and l == l_far:
+                                a, b, mu, om, lean = _turn(a, b, u_far, l, sign, core, naive)
+                            elif p == l and l_far == inward and u == u_far:
+                                a, b, mu, om, lean = _turn(a, b, u, l_far, -sign, core, naive)
+                            else:
+                                # still two leaning points of one kind: the
+                                # line stays pinned
+                                if p == u:
+                                    lean[end] = inward
+                                if p == l:
+                                    lean[2 + end] = inward
+                start += 1
+                length -= 1
+                if not join:
                     continue
-                self._chars, self._width = new
-                lean[same + end] = p
-                lean[other + 1 - end] = witness
-            count = steps.get(step, 0)
-            steps[step] = count + 1
-            if not count and len(steps) > 2:
-                raise AssertionError("segment core acquired a third step direction")
-            core.append(p) if end else core.appendleft(p)
-            counts[p] = 1
-            return True
-        return False
-
-    def _on_remove(self, index: int, p: Point, opening: bool) -> None:
-        counts = self._counts
-        count = counts[p] - 1
-        if count:
-            counts[p] = count
-            return
-        del counts[p]
-        # A point whose last occurrence leaves the interval is always a
-        # geometric extremity: interior columns/rows stay visited as long
-        # as the interval spans both sides of them.  `anchor` is its
-        # neighbour in the core, and `sign` * (b, a) the period pointing
-        # inward from its core end: +1 at the first end, -1 at the last.
-        core = self._core
-        if core[0] == p:
-            core.popleft()
-            anchor, end, sign = core[0], 0, 1
-        elif core[-1] == p:
-            core.pop()
-            anchor, end, sign = core[-1], 1, -1
-        else:
-            raise AssertionError(f"removed point {p} is interior to the segment core")
-        step = (sign * (anchor[0] - p[0]), sign * (anchor[1] - p[1]))
-        steps = self._steps
-        if steps[step] == 1:
-            del steps[step]
-        else:
-            steps[step] -= 1
-        if len(core) == 1:
-            self._chars = None
-            self._lean = None
-            return
-        a, b, _ = self._chars
-        lean = self._lean
-        # leaning points of one kind are one period (b, a) apart; `u`, `l`
-        # are those at p's end of the core, `u_far`, `l_far` at the other
-        far = 1 - end
-        u, u_far, l, l_far = lean[end], lean[far], lean[2 + end], lean[2 + far]
-        inward = (p[0] + sign * b, p[1] + sign * a)
-        if p == u and u_far == inward and l == l_far:
-            self._turn(u_far, l, sign)
-        elif p == l and l_far == inward and u == u_far:
-            self._turn(u, l_far, -sign)
-        else:
-            # still two leaning points of one kind: the line stays pinned
-            if p == u:
-                lean[end] = inward
-            if p == l:
-                lean[2 + end] = inward
-
-    # -- core maintenance -----------------------------------------------------
-
-    def _turn(self, up: Point, low: Point, sigma: int) -> None:
-        """New characteristics (a', b', mu') once the core has one upper
-        leaning point `up` and one lower leaning point `low` left.
-
-        With r'(x, y) = a'x - b'y: the removed point was one period (b, a)
-        from the survivor of its kind and one remainder step outside the
-        new band, so r'(b, a) = sigma (+1 for an upper point removed at the
-        back or a lower one at the front, -1 otherwise).  Together with
-        r'(low) - r'(up) = width' - 1, where the width is linear in
-        (b', a') inside the core's octant (quadrant when 4-connected), these
-        are two linear equations in (b', a').
-        """
-        a, b, _ = self._chars
-        # width(x, y) = sx * x + sy * y for every direction of the core's
-        # steps (each of which has width 1)
-        sb = 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
-        if self._naive:
-            sx, sy = (sb, 0) if abs(b) > abs(a) else (0, sa)
-        else:
-            sx, sy = sb, sa
-        tx = low[0] - up[0] - sy
-        ty = low[1] - up[1] + sx
-        det = b * ty - a * tx
-        nb = (b + sigma * tx) // det
-        na = (a + sigma * ty) // det
-        om = sx * nb + sy * na
-        self._chars = (na, nb, na * up[0] - nb * up[1])
-        self._width = om
-        first, last = self._core[0], self._core[-1]
-        # the leaning points of each kind at the two core ends lie whole
-        # periods (nb, na) back and ahead of the survivor q of that kind; a
-        # point's position along the core is its width-weighted offset, and
-        # one period spans om of it
-        lean = []
-        for q in (up, low):
-            back = (sx * (q[0] - first[0]) + sy * (q[1] - first[1])) // om
-            ahead = (sx * (last[0] - q[0]) + sy * (last[1] - q[1])) // om
-            lean += [(q[0] - back * nb, q[1] - back * na), (q[0] + ahead * nb, q[1] + ahead * na)]
+                if dirs:
+                    r = a * qx - b * qy
+                    if not mu - 1 <= r <= mu + om:
+                        # no end can take the waiting point this far off the
+                        # band, and no point of the interval lies off it:
+                        # the attempt fails without the full add
+                        calls += 1
+                        extensions += 1
+                        continue
+            elif budget:
+                budget -= 1
+            else:
+                if boundary:
+                    calls += 1  # the attempt past the boundary
+                break
+            # -- the attempt to add the next point ------------------------------
+            calls += 1
+            extensions += 1
+            at = start + length if positive else start - 1
+            idx = at % n1
+            ok = seen[idx] <= length  # a revisit
+            if not ok:
+                p = points[idx]
+                x, y = p
+                if not dirs:
+                    # the first step: the line through both points, of width 1
+                    q = core[0]
+                    dx = x - q[0]
+                    dy = y - q[1]
+                    code = 3 * dx + dy
+                    if -1 <= dx <= 1 and -1 <= dy <= 1 and code in codes:
+                        a, b, mu, om = dy, dx, dy * q[0] - dx * q[1], 1
+                        lean = [q, p, q, p]
+                        counts[code] = 1
+                        dirs = (code,)
+                        allowed = turns[code]
+                        core.append(p)
+                        ok = True
+                else:
+                    r = a * x - b * y
+                    # no end can take a point farther off the band
+                    if mu - 1 <= r <= mu + om:
+                        for end in (1, 0):  # the last core point first, then the first
+                            if end:
+                                q = core[-1]
+                                dx = x - q[0]
+                                dy = y - q[1]
+                            else:
+                                q = core[0]
+                                dx = q[0] - x
+                                dy = q[1] - y
+                            code = 3 * dx + dy
+                            if not (-1 <= dx <= 1 and -1 <= dy <= 1 and code in allowed):
+                                continue
+                            if mu <= r < mu + om:
+                                if r == mu:
+                                    lean[end] = p
+                                if r == mu + om - 1:
+                                    lean[2 + end] = p
+                            else:
+                                # p lies just above (below) the band: the line
+                                # turns about the upper (lower) leaning point at
+                                # the far end, and the lower (upper) leaning
+                                # point at p's end is the only one of its kind
+                                # that survives, so it becomes the one at both
+                                # ends.
+                                upper = r < mu
+                                same = 0 if upper else 2
+                                other = 2 - same
+                                witness = lean[other + end]
+                                new = _slope_through(p, lean[same + 1 - end], witness, upper, naive)
+                                if new is None:
+                                    continue
+                                a, b, mu, om = new
+                                lean[same + end] = p
+                                lean[other + 1 - end] = witness
+                            count = counts[code]
+                            counts[code] = count + 1
+                            if not count:
+                                allowed = dirs = dirs + (code,)
+                            if end:
+                                core.append(p)
+                            else:
+                                core.appendleft(p)
+                            ok = True
+                            break
+            if ok:
+                if not positive:
+                    start = at
+                length += 1
+                if dropping:
+                    dropping = False
+                    budget = n1 - length if closed else n1 - start - length
+                else:
+                    added += 1
+            elif not dropping:
+                break
+        self._start = start
+        self._length = length
+        self.calls += calls
+        self.extensions += extensions
+        self._core = core
         self._lean = lean
+        self._dirs = dirs
+        if dirs:
+            self._chars = (a, b, mu)
+            self._width = om
+        else:
+            self._chars = None
+        return added
 
-    def _slope_through(self, p: Point, pivot: Point, witness: Point, upper: bool):
-        """Characteristics of the line through p and pivot, oriented so that
-        they are upper (resp. lower) leaning and `witness` leans opposite,
-        and the band width of that line."""
-        dx, dy = p[0] - pivot[0], p[1] - pivot[1]
-        g = math.gcd(dx, dy)
-        if g == 0:
-            return None
-        dx //= g
-        dy //= g
-        # both orientations have the same width
-        om = max(abs(dx), abs(dy)) if self._naive else abs(dx) + abs(dy)
-        for sign in (1, -1):
-            a, b = sign * dy, sign * dx
-            rp = a * p[0] - b * p[1]
-            rw = a * witness[0] - b * witness[1]
-            # the band runs from the upper leaning point to the lower one
-            if (rw - rp if upper else rp - rw) == om - 1:
-                return (a, b, min(rp, rw)), om
+
+def _turn(a: int, b: int, up: Point, low: Point, sigma: int, core, naive: bool) -> tuple:
+    """New characteristics (a', b', mu'), band width and leaning points once
+    the core has one upper leaning point `up` and one lower leaning point
+    `low` left.
+
+    With r'(x, y) = a'x - b'y: the removed point was one period (b, a)
+    from the survivor of its kind and one remainder step outside the
+    new band, so r'(b, a) = sigma (+1 for an upper point removed at the
+    back or a lower one at the front, -1 otherwise).  Together with
+    r'(low) - r'(up) = width' - 1, where the width is linear in
+    (b', a') inside the core's octant (quadrant when 4-connected), these
+    are two linear equations in (b', a').
+    """
+    # width(x, y) = sx * x + sy * y for every direction of the core's
+    # steps (each of which has width 1)
+    sb = 1 if b > 0 else -1
+    sa = 1 if a > 0 else -1
+    if not naive:
+        sx, sy = sb, sa
+    elif sb * b > sa * a:
+        sx, sy = sb, 0
+    else:
+        sx, sy = 0, sa
+    ux, uy = up
+    lx, ly = low
+    tx = lx - ux - sy
+    ty = ly - uy + sx
+    det = b * ty - a * tx
+    nb = (b + sigma * tx) // det
+    na = (a + sigma * ty) // det
+    om = sx * nb + sy * na
+    fx, fy = core[0]
+    ex, ey = core[-1]
+    # the leaning points of each kind at the two core ends lie whole
+    # periods (nb, na) back and ahead of the survivor of that kind; a
+    # point's position along the core is its width-weighted offset, and
+    # one period spans om of it
+    back = (sx * (ux - fx) + sy * (uy - fy)) // om
+    ahead = (sx * (ex - ux) + sy * (ey - uy)) // om
+    low_back = (sx * (lx - fx) + sy * (ly - fy)) // om
+    low_ahead = (sx * (ex - lx) + sy * (ey - ly)) // om
+    lean = [(ux - back * nb, uy - back * na), (ux + ahead * nb, uy + ahead * na),
+            (lx - low_back * nb, ly - low_back * na), (lx + low_ahead * nb, ly + low_ahead * na)]
+    return na, nb, na * ux - nb * uy, om, lean
+
+
+def _slope_through(p: Point, pivot: Point, witness: Point, upper: bool, naive: bool):
+    """Characteristics (a, b, mu) of the line through p and pivot, oriented
+    so that they are upper (resp. lower) leaning and `witness` leans
+    opposite, and the band width of that line; None if there is none."""
+    px, py = p
+    dx, dy = px - pivot[0], py - pivot[1]
+    g = math.gcd(dx, dy)
+    if g == 0:
         return None
+    dx //= g
+    dy //= g
+    # both orientations have the same width
+    adx = dx if dx > 0 else -dx
+    ady = dy if dy > 0 else -dy
+    om = (adx if adx > ady else ady) if naive else adx + ady
+    rp = dy * px - dx * py
+    rw = dy * witness[0] - dx * witness[1]
+    # the band runs from the upper leaning point to the lower one; the
+    # opposite orientation negates both remainders
+    spread = rw - rp if upper else rp - rw
+    if spread == om - 1:
+        return dy, dx, min(rp, rw), om
+    if -spread == om - 1:
+        return -dy, -dx, -max(rp, rw), om
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +660,7 @@ class DssRecognizer(Recognizer):
 
 
 class MaxLenRecognizer(Recognizer):
-    """Interval has at most k points.  O(1) removal."""
+    """Interval has at most k points.  Every run is O(1) arithmetic."""
 
     def __init__(self, path: DigitalPath, k: int):
         if k < 1:
@@ -451,11 +671,33 @@ class MaxLenRecognizer(Recognizer):
     def _on_reset(self, index, p):
         return True
 
-    def _try_add(self, index, p, positive, closing):
-        return self._length + 1 <= self.k
-
     def _on_remove(self, index, p, opening):
         pass
+
+    def grow(self, positive: bool, limit: int) -> int:
+        room = self.room(positive)
+        tries = min(limit, room)
+        added = max(0, min(tries, self.k - self._length))
+        # a run ends on a refused attempt: at k points, or past the boundary
+        self.calls += added + (added < tries or limit > room)
+        if not positive:
+            self._start -= added
+        self._length += added
+        return added
+
+    def slide(self, removals: int) -> None:
+        q = self._check_slide(removals)
+        if removals:
+            # one drop leaves at most k - 1 points: the next point joins
+            self._start += 1
+        else:
+            self._start = q
+            self._length = 1
+        # the join or the reset, then the positive run up to the boundary
+        room = self.n_points - self._length if self._closed else self.n_points - q - 1
+        added = min(room, self.k - self._length)
+        self.calls += 1 + added + (added < room)
+        self._length += added
 
 
 class MonotoneRecognizer(Recognizer):

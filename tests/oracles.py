@@ -33,6 +33,13 @@ neighbour against the previous pixel and the junction pixels.  The builder
 on integer pixel ids and neighbour code bytes must return the same graphs,
 in the same order, at both adjacencies.
 
+`ReferenceDssRecognizer` is the hook-based DSS recognizer that the
+predicate module ran one point at a time before its runs became one loop:
+the base class's runs drive its three hooks, it counts each point's
+occurrences in a dict and keeps step vectors as tuples.  The one-loop
+recognizer must match it run for run: interval, characteristics, leaning
+points, core and calls.
+
 `dss_replay` re-derives a DSS recognizer's state from its core points
 alone, by extending a fresh core one point at a time at either end; the
 O(1) retraction must leave the same state as this replay, and the replays
@@ -76,7 +83,8 @@ only the foreground pixels must write the same bytes.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
+from collections import Counter, deque
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -86,6 +94,7 @@ from satcover.arcs import ArcGraph
 from satcover.cover import SaturatedCover
 from satcover.paths import (
     NEIGHBOUR_OFFSETS,
+    UNIT_STEPS,
     Adjacency,
     DigitalPath,
     IndexInterval,
@@ -94,7 +103,13 @@ from satcover.paths import (
     is_adjacent,
 )
 from satcover.pbm import BinaryImage, PbmError
-from satcover.predicates import DssRecognizer, PredicateSpec, make_recognizer
+from satcover.predicates import (
+    DssRecognizer,
+    PredicateError,
+    PredicateSpec,
+    Recognizer,
+    make_recognizer,
+)
 from satcover.trace import CurveGraph, Edge, EmitError, TraceError, Vertex
 
 
@@ -240,20 +255,23 @@ def dss_feasible(path: DigitalPath, iv: IndexInterval) -> bool:
 
 
 def dss_state(rec: DssRecognizer) -> tuple:
-    """(characteristics, leaning points, step counts, multiplicities) of a
-    DSS recognizer.  The first three describe its core: the characteristics
-    are sign-normalized like `characteristics()`; the leaning points are the
-    tuple (Uf, Ul, Lf, Ll), and a sign flip swaps the upper ones (Uf, Ul)
-    with the lower ones (Lf, Ll); step counts map each step vector between
-    consecutive core points to its number of occurrences.  Multiplicities
-    map each distinct point of the interval to its number of occurrences."""
+    """(characteristics, leaning points, step counts) of a DSS recognizer's
+    core.  The characteristics are sign-normalized like `characteristics()`;
+    the leaning points are the tuple (Uf, Ul, Lf, Ll), and a sign flip swaps
+    the upper ones (Uf, Ul) with the lower ones (Lf, Ll); step counts map
+    each step vector between consecutive core points to its number of
+    occurrences, decoded from the recognizer's step codes 3 * dx + dy."""
     lean = rec._lean
     if lean is not None:
         a, b, _ = rec._chars
         if a < 0 or (a == 0 and b < 0):
             lean = lean[2:] + lean[:2]
         lean = tuple(lean)
-    return rec.characteristics(), lean, dict(rec._steps), dict(rec._counts)
+    steps = {}
+    for code in rec._dirs:
+        dx = (code + 1) // 3
+        steps[dx, code - 3 * dx] = rec._steps[code]
+    return rec.characteristics(), lean, steps
 
 
 def dss_replay(core_points, adjacency: Adjacency, front: bool = True) -> tuple:
@@ -274,9 +292,270 @@ def dss_replay(core_points, adjacency: Adjacency, front: bool = True) -> tuple:
         grown = rec.try_extend_positive() and all(rec.try_extend_negative() for _ in pts[2:])
     if not grown or list(rec._core) != pts:
         raise AssertionError("core replay failed; recognizer state corrupt")
-    chars, lean, _, _ = dss_state(rec)
+    chars, lean, _ = dss_state(rec)
     steps = Counter((q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, pts[1:]))
     return chars, lean, dict(steps)
+
+
+class ReferenceDssRecognizer(Recognizer):
+    """Arithmetic DSS recognition with O(1) extension and removal at both
+    ends of the core, one hook call per point: the recognizer that
+    `satcover.predicates.DssRecognizer` runs in one loop.  It keeps a
+    multiplicity count per point; a revisit only bumps its point's count,
+    and a new point must extend the core.
+
+    Extension is the incremental recognition of Debled-Rennesson and
+    Reveilles.  Removal is its inverse, the retraction step of maximal
+    segment computation (Feschet & Tougne, *Optimal time computation of the
+    tangent of a discrete curve*, DGCI 1999; Lachaud, Vialard & de
+    Vieilleville, *Fast, accurate and convergent tangent estimation on
+    digital contours*, IVC 2007): the characteristics change only when the
+    removed extremity was one of exactly two leaning points of its kind
+    and the other kind has one.
+
+    Both ends of the core are the same operation seen from opposite sides,
+    so each is written once and indexed by the end: 0 for the first core
+    point, 1 for the last.  Each hook is one frame, apart from the line
+    turns, and the band width w is stored beside (a, b, mu).  Steps are read
+    in core order, first to last.
+    A core with two step directions accepts only those two; a core with one
+    direction d accepts a step s iff s.d > 0 on 8-paths (d or an eighth
+    turn) and s.d >= 0 on 4-paths (d or a quarter turn).
+    """
+
+    def __init__(self, path: DigitalPath):
+        if path.adjacency is Adjacency.INDEX:
+            raise PredicateError("dss requires grid adjacency (4 or 8), not index-only")
+        super().__init__(path)
+        self._naive = path.adjacency is Adjacency.EIGHT
+        self._units = UNIT_STEPS[path.adjacency]
+        # occurrences in the interval of each of its distinct points, never
+        # 0; a plain dict because every new point is a miss, and a Counter
+        # miss runs its Python-level __missing__
+        self._counts: dict = {}
+        self._core: deque = deque()
+        self._chars = None  # (a, b, mu) or None while the core is a singleton
+        # the band width w of _chars, updated with it
+        self._width = 0
+        # [Uf, Ul, Lf, Ll]: the upper leaning point at end e is _lean[e],
+        # the lower one _lean[2 + e]
+        self._lean = None
+        self._steps: dict = {}  # step vector -> occurrences in the core
+
+    # -- characteristics ----------------------------------------------------
+
+    def characteristics(self) -> Optional[tuple[int, int, int]]:
+        """Current (a, b, mu), sign-normalized to a >= 0 (b > 0 when a == 0).
+
+        None for a single-point core, where the line is unconstrained.
+        """
+        if self._chars is None:
+            return None
+        a, b, mu = self._chars
+        if a < 0 or (a == 0 and b < 0):
+            a, b, mu = -a, -b, -mu - self._width + 1
+        return (a, b, mu)
+
+    # -- hooks ---------------------------------------------------------------
+
+    def _on_reset(self, index: int, p: Point) -> bool:
+        self._counts = {p: 1}
+        self._core = deque([p])
+        self._chars = None
+        self._lean = None
+        self._steps = {}
+        return True
+
+    def _try_add(self, index: int, p: Point, positive: bool, closing: bool) -> bool:
+        # band membership is a property of the point multiset, so the
+        # wrap join needs no extra handling here
+        counts = self._counts
+        count = counts.get(p)
+        if count:
+            counts[p] = count + 1
+            return True
+        # a new point must be adjacent to a core end, which it then extends
+        core = self._core
+        x, y = p
+        if self._chars is None:
+            # the first step: the line through both points, of width 1
+            q = core[0]
+            step = (x - q[0], y - q[1])
+            if step not in self._units:
+                return False
+            a, b = step[1], step[0]
+            self._chars = (a, b, a * q[0] - b * q[1])
+            self._width = 1
+            self._lean = [q, p, q, p]
+            self._steps = {step: 1}
+            core.append(p)
+            counts[p] = 1
+            return True
+
+        a, b, mu = self._chars
+        om = self._width
+        r = a * x - b * y
+        if not mu - 1 <= r <= mu + om:
+            return False  # no end can take a point this far off the band
+        steps = self._steps
+        lean = self._lean
+        for end in (1, 0):  # the last core point first, then the first
+            if end:
+                q = core[-1]
+                step = (x - q[0], y - q[1])
+            else:
+                q = core[0]
+                step = (q[0] - x, q[1] - y)
+            # the step must be a unit step next to the core's only direction
+            # (see the class docstring), or one of its two directions
+            if len(steps) == 1:
+                (d,) = steps
+                dot = step[0] * d[0] + step[1] * d[1]
+                if step not in self._units or dot < 0 or (dot == 0 and self._naive):
+                    continue
+            elif step not in steps:
+                continue
+            if mu <= r < mu + om:
+                if r == mu:
+                    lean[end] = p
+                if r == mu + om - 1:
+                    lean[2 + end] = p
+            else:
+                # p lies just above (below) the band: the line turns about
+                # the upper (lower) leaning point at the far end, and the
+                # lower (upper) leaning point at p's end is the only one of
+                # its kind that survives, so it becomes the one at both ends.
+                upper = r < mu
+                same = 0 if upper else 2
+                other = 2 - same
+                witness = lean[other + end]
+                new = self._slope_through(p, lean[same + 1 - end], witness, upper)
+                if new is None:
+                    continue
+                self._chars, self._width = new
+                lean[same + end] = p
+                lean[other + 1 - end] = witness
+            count = steps.get(step, 0)
+            steps[step] = count + 1
+            if not count and len(steps) > 2:
+                raise AssertionError("segment core acquired a third step direction")
+            core.append(p) if end else core.appendleft(p)
+            counts[p] = 1
+            return True
+        return False
+
+    def _on_remove(self, index: int, p: Point, opening: bool) -> None:
+        counts = self._counts
+        count = counts[p] - 1
+        if count:
+            counts[p] = count
+            return
+        del counts[p]
+        # A point whose last occurrence leaves the interval is always a
+        # geometric extremity: interior columns/rows stay visited as long
+        # as the interval spans both sides of them.  `anchor` is its
+        # neighbour in the core, and `sign` * (b, a) the period pointing
+        # inward from its core end: +1 at the first end, -1 at the last.
+        core = self._core
+        if core[0] == p:
+            core.popleft()
+            anchor, end, sign = core[0], 0, 1
+        elif core[-1] == p:
+            core.pop()
+            anchor, end, sign = core[-1], 1, -1
+        else:
+            raise AssertionError(f"removed point {p} is interior to the segment core")
+        step = (sign * (anchor[0] - p[0]), sign * (anchor[1] - p[1]))
+        steps = self._steps
+        if steps[step] == 1:
+            del steps[step]
+        else:
+            steps[step] -= 1
+        if len(core) == 1:
+            self._chars = None
+            self._lean = None
+            return
+        a, b, _ = self._chars
+        lean = self._lean
+        # leaning points of one kind are one period (b, a) apart; `u`, `l`
+        # are those at p's end of the core, `u_far`, `l_far` at the other
+        far = 1 - end
+        u, u_far, l, l_far = lean[end], lean[far], lean[2 + end], lean[2 + far]
+        inward = (p[0] + sign * b, p[1] + sign * a)
+        if p == u and u_far == inward and l == l_far:
+            self._turn(u_far, l, sign)
+        elif p == l and l_far == inward and u == u_far:
+            self._turn(u, l_far, -sign)
+        else:
+            # still two leaning points of one kind: the line stays pinned
+            if p == u:
+                lean[end] = inward
+            if p == l:
+                lean[2 + end] = inward
+
+    # -- core maintenance -----------------------------------------------------
+
+    def _turn(self, up: Point, low: Point, sigma: int) -> None:
+        """New characteristics (a', b', mu') once the core has one upper
+        leaning point `up` and one lower leaning point `low` left.
+
+        With r'(x, y) = a'x - b'y: the removed point was one period (b, a)
+        from the survivor of its kind and one remainder step outside the
+        new band, so r'(b, a) = sigma (+1 for an upper point removed at the
+        back or a lower one at the front, -1 otherwise).  Together with
+        r'(low) - r'(up) = width' - 1, where the width is linear in
+        (b', a') inside the core's octant (quadrant when 4-connected), these
+        are two linear equations in (b', a').
+        """
+        a, b, _ = self._chars
+        # width(x, y) = sx * x + sy * y for every direction of the core's
+        # steps (each of which has width 1)
+        sb = 1 if b > 0 else -1
+        sa = 1 if a > 0 else -1
+        if self._naive:
+            sx, sy = (sb, 0) if abs(b) > abs(a) else (0, sa)
+        else:
+            sx, sy = sb, sa
+        tx = low[0] - up[0] - sy
+        ty = low[1] - up[1] + sx
+        det = b * ty - a * tx
+        nb = (b + sigma * tx) // det
+        na = (a + sigma * ty) // det
+        om = sx * nb + sy * na
+        self._chars = (na, nb, na * up[0] - nb * up[1])
+        self._width = om
+        first, last = self._core[0], self._core[-1]
+        # the leaning points of each kind at the two core ends lie whole
+        # periods (nb, na) back and ahead of the survivor q of that kind; a
+        # point's position along the core is its width-weighted offset, and
+        # one period spans om of it
+        lean = []
+        for q in (up, low):
+            back = (sx * (q[0] - first[0]) + sy * (q[1] - first[1])) // om
+            ahead = (sx * (last[0] - q[0]) + sy * (last[1] - q[1])) // om
+            lean += [(q[0] - back * nb, q[1] - back * na), (q[0] + ahead * nb, q[1] + ahead * na)]
+        self._lean = lean
+
+    def _slope_through(self, p: Point, pivot: Point, witness: Point, upper: bool):
+        """Characteristics of the line through p and pivot, oriented so that
+        they are upper (resp. lower) leaning and `witness` leans opposite,
+        and the band width of that line."""
+        dx, dy = p[0] - pivot[0], p[1] - pivot[1]
+        g = math.gcd(dx, dy)
+        if g == 0:
+            return None
+        dx //= g
+        dy //= g
+        # both orientations have the same width
+        om = max(abs(dx), abs(dy)) if self._naive else abs(dx) + abs(dy)
+        for sign in (1, -1):
+            a, b = sign * dy, sign * dx
+            rp = a * p[0] - b * p[1]
+            rw = a * witness[0] - b * witness[1]
+            # the band runs from the upper leaning point to the lower one
+            if (rw - rp if upper else rp - rw) == om - 1:
+                return (a, b, min(rp, rw)), om
+        return None
 
 
 def dss_feasible_all_intervals(path: DigitalPath) -> dict[tuple[int, int], bool]:

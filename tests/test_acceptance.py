@@ -16,7 +16,7 @@ from satcover.cover import brute_force_cover, forward_cover, saturated_cover
 from satcover.paths import Adjacency, IndexInterval, middle_index, validate_path
 from satcover.predicates import DssRecognizer, PredicateSpec, check_conservative
 from satcover.trace import _adjacency, _dijkstra, build_curve_graph, eulerize, trace_image
-from satcover.verify import GRID_PREDICATES, iter_corpus
+from satcover.verify import GRID_PREDICATES, VERIFIED_PREDICATES, iter_corpus
 
 CORPUS_SEED = 2024
 CORPUS_PATHS = 1000
@@ -197,7 +197,7 @@ def test_acceptance_8_conservativity():
         else:
             paths.append(synth.random_walk_path(n, adjacency, rng=rng))
     bad = []
-    for spec in GRID_PREDICATES + (PredicateSpec("y_monotone"),):
+    for spec in VERIFIED_PREDICATES:
         rep = check_conservative(spec, paths, trials=10_000, seed=80)
         if not rep.ok:
             bad.append((spec, rep))

@@ -27,15 +27,24 @@ from satcover.paths import (
     validate_path,
 )
 from satcover.pbm import BinaryImage
+from satcover import cover as cover_module
 from satcover.predicates import (
     DssRecognizer,
+    MaxLenRecognizer,
     PredicateInfo,
     PredicateSpec,
     Recognizer,
+    make_recognizer,
     register_predicate,
 )
 from satcover.trace import build_curve_graph, trace_image
-from satcover.verify import GRID_PREDICATES, applicable, check_cover_invariants, iter_corpus
+from satcover.verify import (
+    GRID_PREDICATES,
+    VERIFIED_PREDICATES,
+    applicable,
+    check_cover_invariants,
+    iter_corpus,
+)
 
 
 class _NeverRecognizer(Recognizer):
@@ -142,22 +151,24 @@ def test_forward_on_digitized_circle_first_segment_handling():
 
 def test_dss_cover_extends_the_core_at_most_3_times_per_point(monkeypatch):
     """A timing-free linearity guard: a removal that replays the core makes
-    21, 44 and 64 extensions per point on these circles.  It counts the
-    extension hook, so revisits of a point count too."""
-    extend = DssRecognizer._try_add
-    calls = 0
+    21, 44 and 64 extensions per point on these circles.  It reads the
+    attempts to add a point that the DSS loop counts in each run, revisits
+    and refusals included, over both recognizers of the cover; every point
+    is added at least once."""
+    made = []
 
-    def counted(self, index, p, positive, closing):
-        nonlocal calls
-        calls += 1
-        return extend(self, index, p, positive, closing)
+    def recorded(spec, path):
+        made.append(make_recognizer(spec, path))
+        return made[-1]
 
-    monkeypatch.setattr(DssRecognizer, "_try_add", counted)
+    monkeypatch.setattr(cover_module, "make_recognizer", recorded)
     for size in (1_000, 10_000, 30_000):
         path = synth.circle_path_of_size(size)
-        calls = 0
+        made.clear()
         saturated_cover(path, PredicateSpec("dss"))
-        assert calls <= 3 * path.n_points, (path.n_points, calls)
+        assert len(made) == 2 and all(isinstance(rec, DssRecognizer) for rec in made)
+        extensions = sum(rec.extensions for rec in made)
+        assert path.n_points <= extensions <= 3 * path.n_points, (path.n_points, extensions)
 
 
 def profile_events(fn, *args) -> Counter:
@@ -179,23 +190,28 @@ def profile_events(fn, *args) -> Counter:
 
 
 @pytest.mark.parametrize("size, work, bound", [
-    (1_000, "dss cover", 9),
-    (10_000, "dss cover", 9),
-    (10_000, "dss walk cover", 12),
-    (10_000, "x_monotone walk cover", 10),
+    (1_000, "dss cover", 1.7),
+    (10_000, "dss cover", 0.7),
+    (10_000, "dss walk cover", 2.8),
+    (10_000, "max_len walk cover", 4.1),
+    (10_000, "bbox walk cover", 4.5),
+    (10_000, "x_monotone walk cover", 5.4),
     (10_000, "path reader", 2),
 ])
 def test_python_calls_per_point_on_the_hot_paths(size, work, bound):
-    """A timing-free guard on the per-point constant: an extension or a
-    removal costs one frame per hook, and reading a path costs none per
-    point.  The covers run on a circle, or on a seeded 8-walk where the
-    work names one.  Counter misses, a helper call per adjacency test and a
-    generator per point entry made 28.7 and 24.7 calls per point for the
-    dss circle covers and 5.0 for the reader.  A frame for the shared
-    extension code, one per core change and band-width calls made 15.0 and
-    13.8 for those covers and 14.6 for the dss walk cover, and a
-    neighbour-reading helper made 12.5 for the x_monotone one; one frame
-    per hook reads 7.6, 6.6, 8.7 and 7.5."""
+    """A timing-free guard on the per-point constant: a window move costs
+    one recognizer run, which the DSS and max_len recognizers make with no
+    call per point, and reading a path costs none per point.  The covers
+    run on a circle, or on a seeded 8-walk where the work names one.
+    Counter misses, a helper call per adjacency test and a generator per
+    point entry made 28.7 and 24.7 calls per point for the dss circle
+    covers and 5.0 for the reader.  A frame for the shared extension code,
+    one per core change and band-width calls made 15.0 and 13.8 for those
+    covers and 14.6 for the dss walk cover, and a neighbour-reading helper
+    made 12.5 for the x_monotone one.  One frame per hook read 7.41, 6.57,
+    8.15, 9.00, 6.67 and 7.14 for the dss circles, the dss, max_len, bbox
+    and x_monotone walks; one run per window move reads 1.60, 0.64, 2.70,
+    4.00, 4.34 and 5.28."""
     if "walk" in work:
         path = synth.random_walk_path(size, Adjacency.EIGHT, seed=3)
     else:
@@ -203,7 +219,9 @@ def test_python_calls_per_point_on_the_hot_paths(size, work, bound):
     if work == "path reader":
         calls = profile_events(path_from_json, path_to_json(path))["call"]
     else:
-        calls = profile_events(saturated_cover, path, PredicateSpec(work.split()[0]))["call"]
+        spec = {"max_len": PredicateSpec("max_len", {"k": 8}),
+                "bbox": PredicateSpec("bbox", {"w": 5, "h": 5})}.get(work.split()[0])
+        calls = profile_events(saturated_cover, path, spec or PredicateSpec(work.split()[0]))["call"]
     assert calls <= bound * path.n_points, (work, path.n_points, calls / path.n_points)
 
 
@@ -365,24 +383,43 @@ def test_routes_agree_on_every_predicate_at_scale(path):
     for k in turns:
         turned = DigitalPath(path.points[k:] + path.points[:k], closed=path.closed,
                              adjacency=path.adjacency)
-        for spec in GRID_PREDICATES + (PredicateSpec("y_monotone"),):
+        for spec in VERIFIED_PREDICATES:
             if applicable(spec, turned):
                 assert segs(forward_cover(turned, spec)) == segs(saturated_cover(turned, spec)), (k, spec)
 
 
+def _recognizer_classes(cls=Recognizer):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _recognizer_classes(sub)
+
+
 def test_forward_route_never_grows_on_its_negative_side(monkeypatch):
+    """Every `grow` that a recognizer class defines refuses the negative
+    side; the two-sided sweep then fails, the forward route does not.
+    Slides grow on the positive side by definition."""
     walks = [synth.random_walk_path(300, Adjacency.FOUR, seed=56),
              synth.random_closed_path(600, Adjacency.EIGHT, seed=57),
              synth.circle_path_of_size(300)]
-    specs = GRID_PREDICATES + (PredicateSpec("y_monotone"), PredicateSpec("gaps"))
+    specs = VERIFIED_PREDICATES + (PredicateSpec("gaps"),)
     expected = [(path, spec, segs(brute_force_cover(path, spec))) for path in walks for spec in specs]
 
-    def refuse(self):
-        raise AssertionError("the forward route tried a negative extension")
+    def refusing(grow):
+        def run(self, positive, limit):
+            if not positive:
+                raise AssertionError("the forward route grew a window on its negative side")
+            return grow(self, positive, limit)
+        return run
 
-    monkeypatch.setattr(Recognizer, "try_extend_negative", refuse)
-    for path, spec, cover in expected:
-        assert segs(forward_cover(path, spec)) == cover, (path.closed, spec)
+    patched = {cls for cls in _recognizer_classes() if "grow" in vars(cls)}
+    assert {Recognizer, DssRecognizer, MaxLenRecognizer} <= patched
+    for cls in patched:
+        monkeypatch.setattr(cls, "grow", refusing(vars(cls)["grow"]))
+    for spec in (PredicateSpec("dss"), PredicateSpec("max_len", {"k": 5}), PredicateSpec("x_monotone")):
+        with pytest.raises(AssertionError, match="negative side"):
+            saturated_cover(walks[1], spec)
+    for path, spec, cover_segs in expected:
+        assert segs(forward_cover(path, spec)) == cover_segs, (path.closed, spec)
 
 
 def test_dss_cover_rotates_with_a_closed_path():

@@ -20,10 +20,10 @@ from satcover.paths import Adjacency, path_to_json
 from satcover.pbm import BinaryImage, image_from_ascii
 from satcover.predicates import PredicateSpec
 from satcover.trace import trace_image
-from satcover.verify import GRID_PREDICATES, applicable, iter_corpus
+from satcover.verify import VERIFIED_PREDICATES, applicable, iter_corpus
 
 ROUTES = {"sweep": saturated_cover, "forward": forward_cover, "brute": brute_force_cover}
-SPECS = GRID_PREDICATES + (PredicateSpec("y_monotone"),)
+SPECS = VERIFIED_PREDICATES
 
 COVER_DIGESTS = {
     "dss sweep": ("67d9dc0689757d48", "e4e09c8a50f1aa7e", "c65434df9256e559"),

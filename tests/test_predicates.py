@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from oracles import (
+    ReferenceDssRecognizer,
     dss_feasible,
     dss_feasible_all_intervals,
     dss_replay,
@@ -14,9 +15,11 @@ from satcover import synth
 from satcover.paths import Adjacency, DigitalPath, IndexInterval
 from satcover.predicates import (
     DssRecognizer,
+    MaxLenRecognizer,
     PredicateError,
     PredicateSpec,
     check_conservative,
+    Recognizer,
     list_predicates,
     make_recognizer,
 )
@@ -146,8 +149,8 @@ def test_dss_retraction_matches_replay():
     """After every removal, whichever core end it takes, and after every
     extension, the recognizer's state equals the replay of its core, its
     stored band width is that of its characteristics by definition, and
-    its multiplicities count the interval's points, whose distinct points
-    are the core's."""
+    the interval's distinct points, which its occurrence gaps decide, are
+    the core's."""
     rng = random.Random(2026)
     seen = Counter()
     for _ in range(2000):
@@ -174,17 +177,15 @@ def test_dss_retraction_matches_replay():
                     seen["new line"] += rec.characteristics() not in (chars, None)
             elif not (rec.try_extend_positive() if r < 0.75 else rec.try_extend_negative()):
                 continue
-            *core_state, counts = dss_state(rec)
-            assert tuple(core_state) == dss_replay(rec._core, path.adjacency), \
+            assert dss_state(rec) == dss_replay(rec._core, path.adjacency), \
                 (path.points, rec.interval)
             if rec._chars is not None:
                 a, b, _ = rec._chars
                 naive = path.adjacency is Adjacency.EIGHT
                 width = max(abs(a), abs(b)) if naive else abs(a) + abs(b)
                 assert rec._width == width, (path.points, rec.interval)
-            assert counts == Counter(interval_points(path, rec.interval)), \
+            assert sorted(set(interval_points(path, rec.interval))) == sorted(rec._core), \
                 (path.points, rec.interval)
-            assert sorted(counts) == sorted(rec._core), (path.points, rec.interval)
     assert min(seen.values()) > 1000, seen
 
 
@@ -200,6 +201,102 @@ def test_dss_replays_at_either_end_agree():
         piece = line[i:rng.randint(i + 1, len(line))]
         assert dss_replay(piece, adjacency) == dss_replay(piece, adjacency, front=False), \
             (piece, adjacency)
+
+
+def out_and_back_path(rng, n, adjacency):
+    """A closed path out along a wandering line and back: the walk, then
+    its reverse down to its second point, which is adjacent to the first."""
+    pts = wandering_line_path(rng, n, adjacency).points
+    return DigitalPath(pts + pts[-2:0:-1], closed=True, adjacency=adjacency)
+
+
+class HookMaxLen(Recognizer):
+    """max_len through the three hooks alone, run by the base class."""
+
+    def __init__(self, path, k):
+        super().__init__(path)
+        self.k = k
+
+    def _on_reset(self, index, p):
+        return True
+
+    def _try_add(self, index, p, positive, closing):
+        return self._length < self.k
+
+    def _on_remove(self, index, p, opening):
+        pass
+
+
+def run_view(rec) -> tuple:
+    """What a run may change: the interval and the calls, and for a DSS
+    recognizer its characteristics, leaning points and core."""
+    view = (rec.interval, rec.length, rec.calls)
+    if hasattr(rec, "_core"):
+        lean = rec._lean
+        view += (rec.characteristics(), lean and tuple(lean), tuple(rec._core))
+    return view
+
+
+def differential_paths(rng):
+    """Circles, and wandering, random and out-and-back 4- and 8-paths, open
+    and closed, most of them with revisits."""
+    for _ in range(150):
+        adjacency = rng.choice((Adjacency.FOUR, Adjacency.EIGHT))
+        n = rng.randint(2, 40)
+        yield synth.digitized_circle_path(rng.randint(1, 12))
+        yield wandering_line_path(rng, n, adjacency)
+        yield out_and_back_path(rng, max(n, 3), adjacency)
+        yield synth.random_walk_path(n, adjacency, rng=rng)
+        yield synth.random_closed_path(max(n, 4), adjacency, rng=rng)
+
+
+@pytest.mark.parametrize("make_pair", [
+    lambda path, rng: (DssRecognizer(path), ReferenceDssRecognizer(path)),
+    lambda path, rng: (lambda k: (MaxLenRecognizer(path, k), HookMaxLen(path, k)))(rng.randint(1, 9)),
+], ids=["dss", "max_len"])
+def test_runs_match_the_hook_based_reference(make_pair):
+    """The runs of the one-loop DSS recognizer and the O(1) max_len runs
+    against recognizers driven one hook call per point by the base class,
+    through the same random sequences of resets (unwrapped on closed
+    paths), grows on either side with limits below and past the boundary,
+    slides, removals and extensions of one: after every run the interval,
+    the calls and, for dss, the characteristics, leaning points and core
+    are the same, and so is what each grow returns."""
+    rng = random.Random(2030)
+    ops = Counter()
+    for path in differential_paths(rng):
+        n1 = path.n_points
+        fast, ref = make_pair(path, rng)
+        start = rng.randrange(n1)
+        for rec in (fast, ref):
+            rec.reset(start)
+        for _ in range(30):
+            r = rng.random()
+            if r < 0.1:
+                index = rng.randrange(-n1, 2 * n1) if path.closed else rng.randrange(n1)
+                results = [rec.reset(index) for rec in (fast, ref)]
+                ops["reset"] += 1
+            elif r < 0.5:
+                positive, limit = rng.random() < 0.6, rng.randint(0, n1 + 1)
+                results = [rec.grow(positive, limit) for rec in (fast, ref)]
+                ops["grow"] += 1
+            elif r < 0.8:
+                if not (path.closed or ref._start + ref.length < n1):
+                    continue
+                removals = rng.randrange(ref.length)
+                results = [rec.slide(removals) for rec in (fast, ref)]
+                ops["slide"] += 1
+            elif r < 0.9:
+                if ref.length < 2:
+                    continue
+                results = [rec.remove_negative_end() for rec in (fast, ref)]
+                ops["remove"] += 1
+            else:
+                results = [rec.try_extend_negative() for rec in (fast, ref)]
+                ops["extend"] += 1
+            assert results[0] == results[1], (path.points, path.closed, r)
+            assert run_view(fast) == run_view(ref), (path.points, path.closed, r)
+    assert min(ops.values()) > 500, ops
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,11 @@ def test_program_has_no_unused_imports():
 
 
 def test_bench_layers_smoke(tmp_path):
-    """One run on the 1k circle and the 1k rasters only, appended twice to
-    the same file: every row, the P4 rows included, has its keys; no
-    timing and no collection count is asserted."""
+    """One run on the 1k circle, the 1k walk and the 1k rasters only, then
+    an --alternate pair of this checkout against itself, all appended to the
+    same file: every row, the walk and P4 rows included, has its keys, and
+    each run of the pair its side; no timing and no collection count is
+    asserted."""
     for lineno, names in _imports(BENCH_LAYERS):
         for name in names:
             top = name.partition(".")[0]
@@ -82,30 +84,36 @@ def test_bench_layers_smoke(tmp_path):
     out = tmp_path / "BENCH_layers.json"
     cmd = [sys.executable, str(BENCH_LAYERS), "--src", str(ROOT / "src"),
            "--sizes", "1000", "--repeat", "1", "--out", str(out)]
-    for _ in range(2):
-        subprocess.run(cmd, check=True, capture_output=True, timeout=60)
+    subprocess.run(cmd, check=True, capture_output=True, timeout=60)
+    subprocess.run(cmd + ["--alternate", str(ROOT / "src")], check=True, capture_output=True,
+                   timeout=120)
     runs = json.loads(out.read_text())
-    assert len(runs) == 2
-    run = runs[-1]
-    assert set(run) == {"revision", "python", "machine", "date", "repeat", "rows"}
-    assert [row["layer"] for row in run["rows"]] == \
-        ["cover.dss", "cover.max_len", "cover.bbox", "cover.x_monotone", "trace.ring", "trace.bar",
-         "pbm.load", "trace.pbm.ring", "trace.pbm.bar", "trace.pbm.comb"]
-    for row in run["rows"][:4]:
-        assert set(row) == {"layer", "params", "n", "us_per_point", "spread", "calls_per_point",
-                            "gc"}
-        assert len(row["n"]) == len(row["us_per_point"]) == len(row["calls_per_point"]) == 1
-        assert row["n"][0] > 900 and row["calls_per_point"][0] > 0
-    load = run["rows"][6]
-    assert set(load) == {"layer", "n", "us_per_pixel", "spread", "cells", "ns_per_cell", "gc"}
-    assert len(load["cells"]) == len(load["ns_per_cell"]) == 1
-    assert load["cells"][0] > load["n"][0]
-    for row in run["rows"][4:6] + run["rows"][7:]:
-        assert set(row) == {"layer", "n", "us_per_pixel", "spread", "gc"}
-    for row in run["rows"][4:]:
-        assert len(row["n"]) == len(row["us_per_pixel"]) == 1
-        assert row["n"][0] > 900
-    for row in run["rows"]:
-        # the gen 0, 1 and 2 collections of one call at each size
-        assert len(row["gc"]) == 1 and len(row["gc"][0]) == 3
-        assert all(isinstance(c, int) and c >= 0 for c in row["gc"][0])
+    assert len(runs) == 3
+    keys = {"revision", "python", "machine", "date", "repeat", "rows"}
+    assert set(runs[0]) == keys
+    assert [set(run) for run in runs[1:]] == [keys | {"side"}] * 2
+    assert [run["side"] for run in runs[1:]] == ["parent", "change"]
+    covers = [f"cover.{name}{shape}" for shape in ("", ".walk")
+              for name in ("dss", "max_len", "bbox", "x_monotone")]
+    for run in runs:
+        assert [row["layer"] for row in run["rows"]] == covers + \
+            ["trace.ring", "trace.bar", "pbm.load", "trace.pbm.ring", "trace.pbm.bar",
+             "trace.pbm.comb"]
+        for row in run["rows"][:8]:
+            assert set(row) == {"layer", "params", "n", "us_per_point", "spread",
+                                "calls_per_point", "gc"}
+            assert len(row["n"]) == len(row["us_per_point"]) == len(row["calls_per_point"]) == 1
+            assert row["n"][0] > 900 and row["calls_per_point"][0] > 0
+        load = run["rows"][10]
+        assert set(load) == {"layer", "n", "us_per_pixel", "spread", "cells", "ns_per_cell", "gc"}
+        assert len(load["cells"]) == len(load["ns_per_cell"]) == 1
+        assert load["cells"][0] > load["n"][0]
+        for row in run["rows"][8:10] + run["rows"][11:]:
+            assert set(row) == {"layer", "n", "us_per_pixel", "spread", "gc"}
+        for row in run["rows"][8:]:
+            assert len(row["n"]) == len(row["us_per_pixel"]) == 1
+            assert row["n"][0] > 900
+        for row in run["rows"]:
+            # the gen 0, 1 and 2 collections of one call at each size
+            assert len(row["gc"]) == 1 and len(row["gc"][0]) == 3
+            assert all(isinstance(c, int) and c >= 0 for c in row["gc"][0])
