@@ -478,7 +478,7 @@ class DssRecognizer(Recognizer):
                         calls += 1
                         extensions += 1
                         continue
-            elif budget:
+            elif budget > 0:
                 budget -= 1
             else:
                 if boundary:

@@ -277,7 +277,7 @@ def test_runs_match_the_hook_based_reference(make_pair):
                 results = [rec.reset(index) for rec in (fast, ref)]
                 ops["reset"] += 1
             elif r < 0.5:
-                positive, limit = rng.random() < 0.6, rng.randint(0, n1 + 1)
+                positive, limit = rng.random() < 0.6, rng.randint(-1, n1 + 1)
                 results = [rec.grow(positive, limit) for rec in (fast, ref)]
                 ops["grow"] += 1
             elif r < 0.8:
