@@ -250,9 +250,14 @@ def differential_paths(rng):
         yield synth.random_closed_path(max(n, 4), adjacency, rng=rng)
 
 
+def max_len_pair(path, rng):
+    k = rng.randint(1, 9)
+    return MaxLenRecognizer(path, k), HookMaxLen(path, k)
+
+
 @pytest.mark.parametrize("make_pair", [
     lambda path, rng: (DssRecognizer(path), ReferenceDssRecognizer(path)),
-    lambda path, rng: (lambda k: (MaxLenRecognizer(path, k), HookMaxLen(path, k)))(rng.randint(1, 9)),
+    max_len_pair,
 ], ids=["dss", "max_len"])
 def test_runs_match_the_hook_based_reference(make_pair):
     """The runs of the one-loop DSS recognizer and the O(1) max_len runs
