@@ -7,6 +7,10 @@ A cover row is one predicate's cover.  It gives the best time per point
 over --repeat runs at each size, with the sizes interleaved; the spread of
 those times across the sizes (largest over smallest); and the predicate
 calls per point.  The times and counts come from `cover.complexity_probe`.
+It also gives the cover's segments per point at each size, and the fit of
+time = c_pt * n + c_seg * segments to the best times: `us_fixed` is c_pt
+and `us_per_segment` c_seg, in microseconds, or both null where segments
+per point vary less than 1.2x across the sizes and the fit is singular.
 `cover.<pred>` rows run on circles, where windows are long;
 `cover.<pred>.walk` rows run on 8-connected random walks (seed 7), where
 most windows hold a point or two.
@@ -27,7 +31,8 @@ pixel, on that grid of rings, on the bar, and on a comb (a one-pixel spine
 with a 19-pixel tooth every 4 columns, whose junctions are small).
 
 Every row also gives, at each size, the garbage collector's gen 0, 1 and
-2 collections during one untimed call made after a full collection.
+2 collections during one untimed call made after a full collection; a
+cover row counts its segments in that call.
 
 The program is imported from --src (default ./src), so a second checkout
 can be measured in alternation with this one.  --out appends the run to a
@@ -94,9 +99,22 @@ def collections(call) -> list:
     return counts
 
 
+def fit(us_per_point: list, segments_per_point: list) -> tuple:
+    """Least squares c_pt, c_seg of us_per_point = c_pt + c_seg *
+    segments_per_point, that is time = c_pt * n + c_seg * segments; (None,
+    None) where segments per point vary less than 1.2x."""
+    if max(segments_per_point) < 1.2 * min(segments_per_point):
+        return None, None
+    x_mean = sum(segments_per_point) / len(segments_per_point)
+    y_mean = sum(us_per_point) / len(us_per_point)
+    c_seg = (sum((x - x_mean) * (y - y_mean) for x, y in zip(segments_per_point, us_per_point))
+             / sum((x - x_mean) ** 2 for x in segments_per_point))
+    return round(y_mean - c_seg * x_mean, 3), round(c_seg, 3)
+
+
 def cover_rows(sizes, repeat: int) -> list:
     from satcover import synth
-    from satcover.cover import complexity_probe
+    from satcover.cover import complexity_probe, saturated_cover
     from satcover.paths import Adjacency
     from satcover.predicates import PredicateSpec
 
@@ -110,6 +128,13 @@ def cover_rows(sizes, repeat: int) -> list:
         (row,) = complexity_probe(PredicateSpec(name, params), [size],
                                   lambda size: paths[shape, size])
         return row
+
+    def counted(name, params, shape, size) -> tuple:
+        """The collections and the segments per point of one untimed cover."""
+        covers = []
+        gcs = collections(lambda: covers.append(
+            saturated_cover(paths[shape, size], PredicateSpec(name, params))))
+        return gcs, len(covers[0].segments) / covers[0].n_points
 
     best = {}
     for _ in range(repeat):
@@ -125,6 +150,8 @@ def cover_rows(sizes, repeat: int) -> list:
         for name, params in COVERS:
             probe = [best[name, shape, size] for size in sizes]
             us = [r.us_per_point for r in probe]
+            gcs, segments = zip(*[counted(name, params, shape, size) for size in sizes])
+            us_fixed, us_per_segment = fit(us, segments)
             rows.append({
                 "layer": f"cover.{name}{shape}",
                 "params": params,
@@ -132,8 +159,10 @@ def cover_rows(sizes, repeat: int) -> list:
                 "us_per_point": [round(u, 3) for u in us],
                 "spread": round(max(us) / min(us), 3),
                 "calls_per_point": [round(r.ratio, 4) for r in probe],
-                "gc": [collections(lambda size=size: cover(name, params, shape, size))
-                       for size in sizes],
+                "segments_per_point": [round(x, 6) for x in segments],
+                "us_fixed": us_fixed,
+                "us_per_segment": us_per_segment,
+                "gc": list(gcs),
             })
     return rows
 
@@ -315,7 +344,12 @@ def main() -> int:
             continue
         us = " / ".join(f"{u:.2f}" for u in row["us_per_point"])
         calls = " / ".join(f"{c:.2f}" for c in row["calls_per_point"])
-        print(f"{row['layer']:<22} us/point {us}  spread {row['spread']:.2f}  calls/n {calls}{gcs}")
+        segments = " / ".join(f"{x:.3f}" for x in row["segments_per_point"])
+        terms = ""
+        if row["us_fixed"] is not None:
+            terms = f"  fit {row['us_fixed']:.2f} us/point + {row['us_per_segment']:.2f} us/segment"
+        print(f"{row['layer']:<22} us/point {us}  spread {row['spread']:.2f}  calls/n {calls}"
+              f"  seg/n {segments}{terms}{gcs}")
     if args.out:
         out = Path(args.out)
         runs = json.loads(out.read_text()) if out.exists() else []

@@ -44,7 +44,6 @@ from .trace import (
     euler_tour,
     eulerize,
     find_junctions,
-    trace_component,
     trace_image,
 )
 

@@ -53,16 +53,6 @@ class SaturatedCover:
             "predicate_calls": self.predicate_calls,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "SaturatedCover":
-        return cls(
-            n_points=doc["n"],
-            closed=doc["closed"],
-            predicate=PredicateSpec.from_json_dict(doc["predicate"]),
-            segments=tuple(IndexInterval(s["start"], s["len"]) for s in doc["segments"]),
-            predicate_calls=doc["predicate_calls"],
-        )
-
 
 def _finish(path, spec, keys, *recs: Recognizer) -> SaturatedCover:
     # tuple.__new__ makes each IndexInterval in C, with no Python frame

@@ -33,12 +33,6 @@ class PredicateSpec:
     def to_json_dict(self) -> dict:
         return {"name": self.name, "params": dict(sorted(self.params.items()))}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PredicateSpec":
-        if not isinstance(doc, dict) or "name" not in doc:
-            raise PredicateError("predicate document must be an object with a 'name'")
-        return cls(doc["name"], dict(doc.get("params", {})))
-
 
 class Recognizer:
     """Incremental truth maintenance for one predicate on one path.
@@ -54,18 +48,19 @@ class Recognizer:
       past its positive end joins, or resets there, and then grows
       positively up to the path's boundary.
 
-    `try_extend_positive`, `try_extend_negative`, `remove_negative_end`
-    and `holds` are runs of one.  The interval is `_start`, an unwrapped
-    index, and `_length`; `room` gives how far it can grow on a side.
+    `remove_negative_end` and `holds` are runs of one.  The interval is
+    `_start`, an unwrapped index, and `_length`; `room` gives how far it
+    can grow on a side.
 
     `calls` counts predicate evaluations: one per reset, one per attempted
     extension (successful or not, an attempt refused at the boundary
     included) and one per `holds`.  Removals are state maintenance and do
     not count.
 
-    A predicate needs only the three hooks below: the runs here call them
-    one point at a time.  A subclass may override `grow`, `slide` and
-    `remove_negative_end` for speed, keeping the counts.
+    A predicate needs only the three hooks below, `_on_reset`, `_try_add`
+    and `_on_remove`: the runs here call them one point at a time.  A
+    subclass may override `grow`, `slide` and `remove_negative_end` for
+    speed, keeping the counts.
     """
 
     def __init__(self, path: DigitalPath):
@@ -78,19 +73,20 @@ class Recognizer:
 
     # -- predicate-specific hooks ------------------------------------------
     #
-    # `closing` is set on the extension that grows a closed-path interval to
-    # the full point count: the interval then denotes the whole circle, and
-    # order-sensitive predicates must account for the wrap join as well (so
-    # that full-turn truth does not depend on the starting rotation).
-    # `opening` mirrors it on removal from a full interval.
+    # `_try_add` and `_on_remove` run with `_start` and `_length` still
+    # those of the interval before the change.  So on a closed path an add
+    # at `_length == n_points - 1` completes the full turn, and a removal at
+    # `_length == n_points` breaks it: a predicate that reads the order of
+    # its points must then count the wrap join as well, so that full-turn
+    # truth does not depend on the starting rotation.
 
     def _on_reset(self, index: int, p: Point) -> bool:
         raise NotImplementedError
 
-    def _try_add(self, index: int, p: Point, positive: bool, closing: bool) -> bool:
+    def _try_add(self, index: int, p: Point, positive: bool) -> bool:
         raise NotImplementedError
 
-    def _on_remove(self, index: int, p: Point, opening: bool) -> None:
+    def _on_remove(self, index: int, p: Point) -> None:
         raise NotImplementedError
 
     # -- interval mechanics -------------------------------------------------
@@ -133,14 +129,13 @@ class Recognizer:
         room = self.room(positive)
         tries = limit if limit < room else room
         n1 = self.n_points
-        closed = self._closed
         points = self._points
         length = self._length
         added = 0
         while added < tries:
             nxt = self._start + length if positive else self._start - 1
             idx = nxt % n1
-            if not self._try_add(idx, points[idx], positive, closed and length + 1 == n1):
+            if not self._try_add(idx, points[idx], positive):
                 self.calls += added + 1
                 return added
             if not positive:
@@ -174,11 +169,11 @@ class Recognizer:
         while removals:
             removals -= 1
             k = self._start % n1
-            self._on_remove(k, points[k], closed and self._length == n1)
+            self._on_remove(k, points[k])
             self._start += 1
             self._length -= 1
             self.calls += 1
-            if self._try_add(idx, p, True, closed and self._length + 1 == n1):
+            if self._try_add(idx, p, True):
                 self._length += 1
                 break
         else:
@@ -186,17 +181,11 @@ class Recognizer:
                 return
         self.grow(True, n1 - self._length if closed else n1 - q - 1)
 
-    def try_extend_positive(self) -> bool:
-        return self.grow(True, 1) == 1
-
-    def try_extend_negative(self) -> bool:
-        return self.grow(False, 1) == 1
-
     def remove_negative_end(self) -> None:
         if self._length < 2:
             raise ValueError("cannot remove from an interval of fewer than 2 points")
         idx = self._start % self.n_points
-        self._on_remove(idx, self._points[idx], self._closed and self._length == self.n_points)
+        self._on_remove(idx, self._points[idx])
         self._start += 1
         self._length -= 1
 
@@ -671,7 +660,7 @@ class MaxLenRecognizer(Recognizer):
     def _on_reset(self, index, p):
         return True
 
-    def _on_remove(self, index, p, opening):
+    def _on_remove(self, index, p):
         pass
 
     def grow(self, positive: bool, limit: int) -> int:
@@ -723,9 +712,10 @@ class MonotoneRecognizer(Recognizer):
     def _coord(self, index: int) -> int:
         return self._points[index % self.n_points][self.axis]
 
-    def _try_add(self, index, p, positive, closing):
-        if closing:
-            # the added point fills the last gap: both of its joins appear
+    def _try_add(self, index, p, positive):
+        if self._closed and self._length + 1 == self.n_points:
+            # the add completes the full turn: the added point fills the
+            # last gap, and both of its joins appear
             d_in = p[self.axis] - self._coord(index - 1)
             d_out = self._coord(index + 1) - p[self.axis]
             rising = (d_in > 0) + (d_out > 0)
@@ -751,11 +741,10 @@ class MonotoneRecognizer(Recognizer):
             self._falling += 1
         return True
 
-    def _on_remove(self, index, p, opening):
-        if opening:
-            d_in = p[self.axis] - self._coord(index - 1)
-            self._rising -= d_in > 0
-            self._falling -= d_in < 0
+    def _on_remove(self, index, p):
+        # only the join out counts: when the removal breaks a full turn, its
+        # join in (the wrap join) leaves too, but a full turn holds only
+        # with every join flat
         d = self._points[(index + 1) % self.n_points][self.axis] - p[self.axis]
         if d > 0:
             self._rising -= 1
@@ -788,7 +777,7 @@ class BboxRecognizer(Recognizer):
         self._ymin = self._ymax = p[1]
         return True
 
-    def _try_add(self, index, p, positive, closing):
+    def _try_add(self, index, p, positive):
         xmin = min(self._xmin, p[0])
         xmax = max(self._xmax, p[0])
         ymin = min(self._ymin, p[1])
@@ -801,7 +790,7 @@ class BboxRecognizer(Recognizer):
         self._xmin, self._xmax, self._ymin, self._ymax = xmin, xmax, ymin, ymax
         return True
 
-    def _on_remove(self, index, p, opening):
+    def _on_remove(self, index, p):
         self._xs[p[0]] -= 1
         if not self._xs[p[0]]:
             del self._xs[p[0]]
@@ -829,10 +818,10 @@ class ContainsStartRecognizer(Recognizer):
     def _on_reset(self, index, p):
         return index == 0
 
-    def _try_add(self, index, p, positive, closing):
+    def _try_add(self, index, p, positive):
         return True  # a superset of a set containing index 0 still contains it
 
-    def _on_remove(self, index, p, opening):
+    def _on_remove(self, index, p):
         pass
 
     def _holds(self, iv: IndexInterval) -> bool:

@@ -819,11 +819,6 @@ def _trace_graph(g: CurveGraph, context) -> ComponentTrace:
     return ComponentTrace(path, g, tuple(tour), runs)
 
 
-def trace_component(img: BinaryImage, adjacency: Adjacency) -> ComponentTrace:
-    """Trace one connected component (img must contain exactly one)."""
-    return _trace_graph(*_one_graph(img, adjacency))
-
-
 def trace_image(img: BinaryImage, adjacency: Adjacency) -> list[ComponentTrace]:
     """One path per connected component, components ordered by smallest pixel."""
     graphs, context = _image_graphs(img, adjacency)

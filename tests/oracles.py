@@ -286,10 +286,10 @@ def dss_replay(core_points, adjacency: Adjacency, front: bool = True) -> tuple:
     rec = DssRecognizer(DigitalPath(tuple(pts), closed=False, adjacency=adjacency))
     if front or len(pts) < 3:
         rec.reset(0)
-        grown = all(rec.try_extend_positive() for _ in pts[1:])
+        grown = all(rec.grow(True, 1) == 1 for _ in pts[1:])
     else:
         rec.reset(len(pts) - 2)
-        grown = rec.try_extend_positive() and all(rec.try_extend_negative() for _ in pts[2:])
+        grown = rec.grow(True, 1) == 1 and all(rec.grow(False, 1) == 1 for _ in pts[2:])
     if not grown or list(rec._core) != pts:
         raise AssertionError("core replay failed; recognizer state corrupt")
     chars, lean, _ = dss_state(rec)
@@ -366,7 +366,7 @@ class ReferenceDssRecognizer(Recognizer):
         self._steps = {}
         return True
 
-    def _try_add(self, index: int, p: Point, positive: bool, closing: bool) -> bool:
+    def _try_add(self, index: int, p: Point, positive: bool) -> bool:
         # band membership is a property of the point multiset, so the
         # wrap join needs no extra handling here
         counts = self._counts
@@ -444,7 +444,7 @@ class ReferenceDssRecognizer(Recognizer):
             return True
         return False
 
-    def _on_remove(self, index: int, p: Point, opening: bool) -> None:
+    def _on_remove(self, index: int, p: Point) -> None:
         counts = self._counts
         count = counts[p] - 1
         if count:

@@ -11,7 +11,6 @@ from satcover import synth
 from satcover.arcs import build_arc_graph
 from satcover.cover import (
     CoverCapError,
-    SaturatedCover,
     brute_force_cover,
     complexity_probe,
     forward_cover,
@@ -65,10 +64,10 @@ class _GapsRecognizer(Recognizer):
     def _on_reset(self, index, p):
         return index % 7 != 3
 
-    def _try_add(self, index, p, positive, closing):
+    def _try_add(self, index, p, positive):
         return index % 7 != 3 and self._length < 5
 
-    def _on_remove(self, index, p, opening):
+    def _on_remove(self, index, p):
         pass
 
 
@@ -549,9 +548,11 @@ def test_cover_json_schema_and_roundtrip():
     assert set(doc) == {"n", "closed", "predicate", "segments", "predicate_calls"}
     assert doc["n"] == path.n_points
     assert all(set(seg) == {"start", "len"} for seg in doc["segments"])
-    text = json.dumps(doc, sort_keys=True)
-    back = SaturatedCover.from_json_dict(json.loads(text))
-    assert back == cov
+    assert doc["closed"] is path.closed
+    assert doc["predicate"] == {"name": "bbox", "params": {"h": 3, "w": 3}}
+    assert doc["segments"] == [{"start": s.start, "len": s.length} for s in cov.segments]
+    assert doc["predicate_calls"] == cov.predicate_calls
+    assert json.loads(json.dumps(doc, sort_keys=True)) == doc
 
 
 def test_probe_rows():

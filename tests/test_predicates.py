@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -11,7 +12,8 @@ from oracles import (
     dss_state,
     interval_points,
 )
-from satcover import synth
+from satcover import predicates, synth
+from satcover.cover import brute_force_cover, saturated_cover
 from satcover.paths import Adjacency, DigitalPath, IndexInterval
 from satcover.predicates import (
     DssRecognizer,
@@ -98,7 +100,7 @@ def test_dss_long_digitized_line_all_extensions_succeed():
     rec = DssRecognizer(path)
     assert rec.reset(0)
     for _ in range(999):
-        assert rec.try_extend_positive()
+        assert rec.grow(True, 1) == 1
 
 
 def test_dss_matches_feasibility_oracle_exhaustively():
@@ -175,7 +177,7 @@ def test_dss_retraction_matches_replay():
                 if len(rec._core) < size:
                     seen["back" if rec._core[0] != first else "front"] += 1
                     seen["new line"] += rec.characteristics() not in (chars, None)
-            elif not (rec.try_extend_positive() if r < 0.75 else rec.try_extend_negative()):
+            elif not (rec.grow(True, 1) == 1 if r < 0.75 else rec.grow(False, 1) == 1):
                 continue
             assert dss_state(rec) == dss_replay(rec._core, path.adjacency), \
                 (path.points, rec.interval)
@@ -220,10 +222,10 @@ class HookMaxLen(Recognizer):
     def _on_reset(self, index, p):
         return True
 
-    def _try_add(self, index, p, positive, closing):
+    def _try_add(self, index, p, positive):
         return self._length < self.k
 
-    def _on_remove(self, index, p, opening):
+    def _on_remove(self, index, p):
         pass
 
 
@@ -297,7 +299,7 @@ def test_runs_match_the_hook_based_reference(make_pair):
                 results = [rec.remove_negative_end() for rec in (fast, ref)]
                 ops["remove"] += 1
             else:
-                results = [rec.try_extend_negative() for rec in (fast, ref)]
+                results = [rec.grow(False, 1) == 1 for rec in (fast, ref)]
                 ops["extend"] += 1
             assert results[0] == results[1], (path.points, path.closed, r)
             assert run_view(fast) == run_view(ref), (path.points, path.closed, r)
@@ -318,7 +320,7 @@ def test_extension_mechanics(spec):
 
     def attempt(rec, positive):
         calls, before = rec.calls, rec.interval
-        ok = rec.try_extend_positive() if positive else rec.try_extend_negative()
+        ok = rec.grow(True, 1) == 1 if positive else rec.grow(False, 1) == 1
         assert rec.calls == calls + 1
         if not ok:
             assert rec.interval == before
@@ -383,9 +385,9 @@ def test_recognizer_state_is_path_independent():
         for _ in range(40):
             r = rng.random()
             if r < 0.45:
-                rec.try_extend_positive()
+                rec.grow(True, 1) == 1
             elif r < 0.8:
-                rec.try_extend_negative()
+                rec.grow(False, 1) == 1
             elif rec.length >= 2:
                 rec.remove_negative_end()
             assert fresh.holds(rec.interval), (spec, path.points, rec.interval)
@@ -400,7 +402,7 @@ def test_removal_equivalent_to_fresh_recognizer():
         if not rec.reset(rng.randrange(path.n_points)):
             continue
         for _ in range(rng.randint(1, 25)):
-            if not rec.try_extend_positive():
+            if not rec.grow(True, 1) == 1:
                 break
         removals = rng.randint(0, rec.length - 1)
         for _ in range(removals):
@@ -408,9 +410,9 @@ def test_removal_equivalent_to_fresh_recognizer():
         twin = make_recognizer(spec, path)
         assert twin.holds(rec.interval)
         for _ in range(6):
-            a, b = rec.try_extend_positive(), twin.try_extend_positive()
+            a, b = rec.grow(True, 1) == 1, twin.grow(True, 1) == 1
             assert a == b
-            a, b = rec.try_extend_negative(), twin.try_extend_negative()
+            a, b = rec.grow(False, 1) == 1, twin.grow(False, 1) == 1
             assert a == b
 
 
@@ -418,9 +420,9 @@ def test_extend_failure_leaves_state_unchanged():
     path = DigitalPath(((0, 0), (1, 0), (2, 0), (2, 1), (2, 2)), adjacency=Adjacency.FOUR)
     rec = make_recognizer(PredicateSpec("bbox", {"w": 2, "h": 2}), path)
     assert rec.reset(1)
-    assert rec.try_extend_positive()
+    assert rec.grow(True, 1) == 1
     iv = rec.interval
-    assert not rec.try_extend_negative()  # (0,0) would make the box 3 wide
+    assert not rec.grow(False, 1) == 1  # (0,0) would make the box 3 wide
     assert rec.interval == iv
 
 
@@ -428,9 +430,9 @@ def test_boundary_blocks_extension():
     path = DigitalPath(((0, 0), (1, 0)))
     rec = make_recognizer(PredicateSpec("max_len", {"k": 5}), path)
     assert rec.reset(1)
-    assert not rec.try_extend_positive()
+    assert not rec.grow(True, 1) == 1
     assert rec.reset(0)
-    assert not rec.try_extend_negative()
+    assert not rec.grow(False, 1) == 1
 
 
 def test_remove_from_singleton_is_an_error():
@@ -445,10 +447,10 @@ def test_max_len_window():
     path = synth.random_walk_path(10, Adjacency.EIGHT, seed=8)
     rec = make_recognizer(PredicateSpec("max_len", {"k": 3}), path)
     assert rec.reset(4)
-    assert rec.try_extend_positive()
-    assert rec.try_extend_negative()
-    assert not rec.try_extend_positive()
-    assert not rec.try_extend_negative()
+    assert rec.grow(True, 1) == 1
+    assert rec.grow(False, 1) == 1
+    assert not rec.grow(True, 1) == 1
+    assert not rec.grow(False, 1) == 1
     assert rec.calls == 5  # one per reset and per attempted extension
     rec.remove_negative_end()
     assert rec.calls == 5  # removal is not an evaluation
@@ -542,3 +544,39 @@ def test_planted_predicate_is_caught():
     assert not rep.ok
     i, x, y = rep.counterexample
     assert "NOT conservative" in str(rep)
+
+
+# ---------------------------------------------------------------------------
+# README
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_predicate_example():
+    """The example of README's "Adding a predicate" runs as written.  Its
+    predicate, written against the three hooks alone, gives the brute-force
+    cover on seeded 4- and 8-walks, open and closed, and passes the
+    conservativity probe; then it is unregistered."""
+    section = README.read_text().partition("## Adding a predicate")[2]
+    code = section.partition("```python\n")[2].partition("```")[0]
+    assert "register_predicate" in code
+    try:
+        namespace = {}
+        exec(compile(code, str(README), "exec"), namespace)
+        assert namespace["cover"].segments
+        rng = random.Random(41)
+        paths = [make(rng.randint(4, 60), adjacency, rng=rng)
+                 for make in (synth.random_walk_path, synth.random_closed_path)
+                 for adjacency in (Adjacency.FOUR, Adjacency.EIGHT) for _ in range(15)]
+        assert any(path.closed for path in paths) and not all(path.closed for path in paths)
+        for k in (1, 3, 6):
+            spec = PredicateSpec("x_span", {"k": k})
+            for path in paths:
+                assert saturated_cover(path, spec).segments == \
+                    brute_force_cover(path, spec).segments, (k, path.points)
+            rep = check_conservative(spec, paths, trials=3_000)
+            assert rep.ok, str(rep)
+    finally:
+        predicates._REGISTRY.pop("x_span", None)
+    assert "x_span" not in [info.name for info in list_predicates()]

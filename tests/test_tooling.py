@@ -2,8 +2,9 @@
 wraps program functions by name, and a function it names must exist, or
 only a traced benchmark run would notice; the program has no runtime
 dependencies (`pyproject.toml` lists none), so it imports only the
-standard library and itself, and every name it imports is read; and the
-layer-timing script runs and writes the keys its readers expect."""
+standard library and itself, and every name it imports is read; the
+layer-timing script runs and writes the keys its readers expect; and the
+code-line count runs and adds up."""
 
 import ast
 import importlib
@@ -15,6 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN = ROOT / "perfbench" / "run.py"
 BENCH_LAYERS = ROOT / "scripts" / "bench_layers.py"
+CODE_LINES = ROOT / "scripts" / "code_lines.py"
 
 
 def _assigned(name: str):
@@ -101,8 +103,10 @@ def test_bench_layers_smoke(tmp_path):
              "trace.pbm.comb"]
         for row in run["rows"][:8]:
             assert set(row) == {"layer", "params", "n", "us_per_point", "spread",
-                                "calls_per_point", "gc"}
-            assert len(row["n"]) == len(row["us_per_point"]) == len(row["calls_per_point"]) == 1
+                                "calls_per_point", "segments_per_point", "us_fixed",
+                                "us_per_segment", "gc"}
+            assert len(row["n"]) == len(row["us_per_point"]) == len(row["calls_per_point"]) == \
+                len(row["segments_per_point"]) == 1
             assert row["n"][0] > 900 and row["calls_per_point"][0] > 0
         load = run["rows"][10]
         assert set(load) == {"layer", "n", "us_per_pixel", "spread", "cells", "ns_per_cell", "gc"}
@@ -117,3 +121,18 @@ def test_bench_layers_smoke(tmp_path):
             # the gen 0, 1 and 2 collections of one call at each size
             assert len(row["gc"]) == 1 and len(row["gc"][0]) == 3
             assert all(isinstance(c, int) and c >= 0 for c in row["gc"][0])
+
+
+def test_code_lines_rows_add_up():
+    """One row per module of the program and a total that is their sum; no
+    count is asserted."""
+    for lineno, names in _imports(CODE_LINES):
+        for name in names:
+            assert name.partition(".")[0] in sys.stdlib_module_names, f"{lineno}: {name}"
+    out = subprocess.run([sys.executable, str(CODE_LINES)], check=True, capture_output=True,
+                         text=True, timeout=60).stdout
+    rows = [line.split() for line in out.splitlines()]
+    assert rows[-1][0] == "total"
+    assert sorted(name for name, _ in rows[:-1]) == \
+        sorted(p.name for p in (ROOT / "src" / "satcover").glob("*.py"))
+    assert sum(int(count) for _, count in rows[:-1]) == int(rows[-1][1])

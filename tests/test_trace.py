@@ -40,7 +40,6 @@ from satcover.trace import (
     euler_tour,
     eulerize,
     find_junctions,
-    trace_component,
     trace_image,
 )
 
@@ -170,8 +169,6 @@ def test_multi_component_rejected(art):
     for adjacency in (FOUR, EIGHT):
         with pytest.raises(TraceError, match="expected a single connected component"):
             build_curve_graph(img, adjacency)
-        with pytest.raises(TraceError, match="expected a single connected component"):
-            trace_component(img, adjacency)
 
 
 def _random_images(count: int, seed: int):
@@ -627,16 +624,21 @@ def _check_component(img, tr):
             assert tuple(tr.path.points[run.offset:run.offset + run.length]) == pix
 
 
+def _trace_one(img, adjacency):
+    (tr,) = trace_image(img, adjacency)
+    return tr
+
+
 def test_emit_segment_in_order():
     img = image_from_ascii("#####")
-    tr = trace_component(img, FOUR)
+    tr = _trace_one(img, FOUR)
     assert tr.path.points == tuple((x, 0) for x in range(5))
     assert not tr.path.closed
 
 
 def test_emit_plus_covers_center_twice():
     img = fixture_image("plus")
-    tr = trace_component(img, FOUR)
+    tr = _trace_one(img, FOUR)
     _check_component(img, tr)
     assert tr.path.points.count((1, 1)) >= 2
     assert len(set(tr.path.points)) == 5
@@ -644,7 +646,7 @@ def test_emit_plus_covers_center_twice():
 
 def test_emit_figure_eight_closed():
     img = fixture_image("figure_eight")
-    tr = trace_component(img, FOUR)
+    tr = _trace_one(img, FOUR)
     _check_component(img, tr)
     assert tr.path.closed
 
@@ -728,7 +730,7 @@ def _mixed_images(count: int, seed: int):
 
 
 def _per_component(img, adjacency):
-    return [trace_component(BinaryImage(img.width, img.height, comp), adjacency)
+    return [_trace_one(BinaryImage(img.width, img.height, comp), adjacency)
             for comp in components_reference(img, adjacency)]
 
 
@@ -950,14 +952,14 @@ def test_junction_walk_equals_the_tuple_walk(adjacency):
 def test_all_branching_blob_covered():
     # 2x2 block under EIGHT: every pixel branching, no edges at all
     img = image_from_ascii("##\n##")
-    tr = trace_component(img, EIGHT)
+    tr = _trace_one(img, EIGHT)
     assert validate_path(tr.path).ok
     assert set(tr.path.points) == set(img.foreground)
 
 
 def test_eight_adjacency_diagonal_ring():
     img = image_from_ascii(".#.\n#.#\n.#.")
-    tr = trace_component(img, EIGHT)
+    tr = _trace_one(img, EIGHT)
     assert tr.path.closed
     assert validate_path(tr.path).ok
     assert set(tr.path.points) == set(img.foreground)
