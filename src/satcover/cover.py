@@ -7,7 +7,7 @@ tangential cover; it has at most one segment per path point, and the
 incremental sweep below finds it with a number of predicate evaluations
 linear in the path length.
 
-One sweep serves two routes: :func:`saturated_cover` grows each fresh
+One sweep serves two routes: :func:`saturated_cover` grows its first
 window alternately on both sides, and :func:`forward_cover` runs the same
 sweep with the negative side switched off.  A definition-based oracle,
 :func:`brute_force_cover`, cross-checks both at desk scale.
@@ -32,10 +32,10 @@ class CoverCapError(ValueError):
 class SaturatedCover:
     """All saturated subpaths of one predicate on one path.
 
-    `predicate_calls` counts every singleton reset, every attempted
-    extension (successful or not) and every stateless check performed
-    while computing the cover; removals are state maintenance and are
-    not predicate evaluations.
+    `predicate_calls` counts every singleton reset, the singleton past the
+    window at every window move, every attempted extension (successful or
+    not) and every stateless check performed while computing the cover;
+    removals are state maintenance and are not predicate evaluations.
     """
 
     n_points: int
@@ -54,26 +54,33 @@ class SaturatedCover:
         }
 
 
-def _finish(path, spec, keys, *recs: Recognizer) -> SaturatedCover:
+def _finish(path, spec, keys, rec: Recognizer) -> SaturatedCover:
     # tuple.__new__ makes each IndexInterval in C, with no Python frame
     segments = tuple(map(tuple.__new__, repeat(IndexInterval), sorted(keys)))
-    calls = sum(rec.calls for rec in recs)
-    return SaturatedCover(path.n_points, path.closed, spec, segments, calls)
+    return SaturatedCover(path.n_points, path.closed, spec, segments, rec.calls)
 
 
-def _seed(rec: Recognizer, t: int, limit: int) -> int:
-    """Reset `rec` at t, t+1, ... (unwrapped) until the singleton holds;
-    returns that index, or `limit` when every singleton before it fails."""
-    while t < limit and not rec.reset(t):
-        t += 1
-    return t
+def _sweep(path: DigitalPath, spec: PredicateSpec, two_sided: bool) -> SaturatedCover:
+    """The incremental sweep: grow a window at index 0 until it is
+    saturated, then move on past its positive end, shrinking from its
+    negative end, with one recognizer run per window move.
 
+    The first window grows alternately on both sides while both can grow
+    (positive side first on odd length), then on whichever side still can;
+    with `two_sided` off, on its positive side only.  Every singleton holds,
+    so each later window is one `Recognizer.slide`: it drops the window's
+    negative end until the point past it joins, or restarts there, and
+    grows it positively; the last refused join rules the negative side out
+    for good.  On closed paths the sweep stops at a repeated segment or one
+    wrap past the first one, and drops the first segment if a later one
+    contains it.
+    """
+    n1 = path.n_points
+    rec = make_recognizer(spec, path)
+    keys: dict[tuple[int, int], None] = {}
+    closed = path.closed
 
-def _grow_fresh(rec: Recognizer, two_sided: bool) -> None:
-    """Grow a freshly seeded window until it is saturated: alternately on
-    both sides while both can grow (positive side first on odd length),
-    then on whichever side still can; with `two_sided` off, on its positive
-    side only."""
+    rec.reset(0)
     pos_ok, neg_ok = True, two_sided
     while pos_ok and neg_ok and rec.room(True) and rec.room(False):
         if rec.length % 2:
@@ -84,72 +91,35 @@ def _grow_fresh(rec: Recognizer, two_sided: bool) -> None:
         rec.grow(True, rec.room(True))
     if neg_ok:
         rec.grow(False, rec.room(False))
+    if closed and rec.length == n1:
+        # the whole circle, canonical start 0
+        return _finish(path, spec, {(0, n1): None}, rec)
 
-
-def _sweep(path: DigitalPath, spec: PredicateSpec, two_sided: bool) -> SaturatedCover:
-    """The incremental sweep: grow a window until it is saturated, then move
-    on past its positive end, shrinking from its negative end, with one
-    recognizer run per window move.
-
-    When the singleton past the window holds, `Recognizer.slide` drops the
-    window's negative end until that point joins, or restarts there, and
-    grows it positively; the last refused join rules the negative side out
-    for good.  Otherwise the sweep seeds afresh past it, and the fresh
-    window grows as `_grow_fresh` says.  On closed paths the sweep stops at
-    a repeated segment or one wrap past the first one, and drops the first
-    segment if a later one contains it.
-    """
-    n1 = path.n_points
-    rec = make_recognizer(spec, path)
-    probe = make_recognizer(spec, path)
-    keys: dict[tuple[int, int], None] = {}
-    closed = path.closed
-
-    t = _seed(rec, 0, n1)
-    if t == n1:
-        return _finish(path, spec, keys, rec, probe)  # predicate false on every singleton
-
-    # on closed paths the seed scan may wrap this far
-    limit = t + n1 if closed else n1
-    fresh = True
-
+    # the end only grows: stop one wrap past the first segment, or at the
+    # path's end
+    last_q = rec._start + rec._length - 1 + n1 if closed else n1 - 1
     while True:
-        if fresh:
-            _grow_fresh(rec, two_sided)
         i, length = rec._start, rec._length
-        if closed and length == n1:
-            # the whole circle, canonical start 0
-            return _finish(path, spec, {(0, n1): None}, rec, probe)
         key = (i % n1, length)
         if key in keys:
             break  # wrapped around onto a known segment
-        q = i + length
-        if not keys:
-            # the end only grows: stop one wrap past the first segment, or at
-            # the path's end
-            last_q = q - 1 + n1 if closed else n1 - 1
         keys[key] = None
-
+        q = i + length
         if q > last_q:
             break
-        fresh = not probe.reset(q % n1)
-        if fresh:
-            t = _seed(rec, q + 1, limit)
-            if t >= limit:
-                break
-        else:
-            rec.slide(length - 1)
+        rec.calls += 1  # the singleton past the window, which holds
+        rec.slide(length - 1)
 
     if closed:
         # a forward-grown first segment may not be saturated on its negative
         # side: drop it if another segment's arc contains its arc (no segment
-        # here is the whole circle, which returned above)
+        # here is the whole circle: the first window would have been it)
         first = start0, len0 = next(iter(keys))
         for start, size in keys:
             if len0 <= size and (start, size) != first and (start0 - start) % n1 + len0 <= size:
                 del keys[first]
                 break
-    return _finish(path, spec, keys, rec, probe)
+    return _finish(path, spec, keys, rec)
 
 
 def saturated_cover(path: DigitalPath, spec: PredicateSpec) -> SaturatedCover:
@@ -184,18 +154,15 @@ def brute_force_cover(
     closed = path.closed
 
     lmax = [0] * n1
-    s = _seed(rec, 0, n1)
-    while s < n1:
+    for s in range(n1):
+        rec.reset(s)
         rec.grow(True, n1)  # to the first refusal, at the boundary included
         lmax[s] = rec.length
-        s = _seed(rec, s + 1, n1)
     if closed and any(L == n1 for L in lmax):
         return _finish(path, spec, {(0, n1): None}, rec)
     keys = {}
     for s in range(n1):
         L = lmax[s]
-        if L == 0:
-            continue
         if not closed and s == 0:
             keys[(s, L)] = None
             continue

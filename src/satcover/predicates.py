@@ -39,8 +39,8 @@ class Recognizer:
 
     The recognizer represents a single interval and the represented
     interval always satisfies the predicate.  `reset` re-targets it to a
-    singleton and reports whether the predicate holds there.  The interval
-    then moves in runs, each one method call:
+    singleton: every predicate holds on every singleton.  The interval then
+    moves in runs, each one method call:
 
     - `grow(positive, limit)` extends it on one side until an attempt fails
       or `limit` attempts are made;
@@ -80,7 +80,7 @@ class Recognizer:
     # its points must then count the wrap join as well, so that full-turn
     # truth does not depend on the starting rotation.
 
-    def _on_reset(self, index: int, p: Point) -> bool:
+    def _on_reset(self, index: int, p: Point) -> None:
         raise NotImplementedError
 
     def _try_add(self, index: int, p: Point, positive: bool) -> bool:
@@ -101,26 +101,18 @@ class Recognizer:
 
     def room(self, positive: bool) -> int:
         """The extensions that fit on one side before the boundary: an open
-        end, or the full turn of a closed path; 0 on an empty state."""
-        length = self._length
-        if not length:
-            return 0
+        end, or the full turn of a closed path."""
         if self._closed:
-            return self.n_points - length
-        return self.n_points - self._start - length if positive else self._start
+            return self.n_points - self._length
+        return self.n_points - self._start - self._length if positive else self._start
 
-    def reset(self, index: int) -> bool:
-        """Represent the singleton at `index`, which may be unwrapped; False if
-        the predicate fails there (the state is then empty and must be reset
-        again before use)."""
+    def reset(self, index: int) -> None:
+        """Represent the singleton at `index`, which may be unwrapped."""
         self.calls += 1
         self._start = index
-        self._length = 0
+        self._length = 1
         idx = index % self.n_points
-        ok = self._on_reset(idx, self._points[idx])
-        if ok:
-            self._length = 1
-        return ok
+        self._on_reset(idx, self._points[idx])
 
     def grow(self, positive: bool, limit: int) -> int:
         """Extend on the positive (negative) side, one point per attempt,
@@ -177,8 +169,7 @@ class Recognizer:
                 self._length += 1
                 break
         else:
-            if not self.reset(q):
-                return
+            self.reset(q)
         self.grow(True, n1 - self._length if closed else n1 - q - 1)
 
     def remove_negative_end(self) -> None:
@@ -201,7 +192,8 @@ class Recognizer:
 
     def _holds(self, iv: IndexInterval) -> bool:
         """Replay the interval from its start."""
-        return self.reset(iv.start) and self.grow(True, iv.length - 1) == iv.length - 1
+        self.reset(iv.start)
+        return self.grow(True, iv.length - 1) == iv.length - 1
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +317,11 @@ class DssRecognizer(Recognizer):
 
     # -- runs ------------------------------------------------------------------
 
-    def reset(self, index: int) -> bool:
-        self.calls += 1
-        self._start = index
-        self._length = 1
-        self._core = deque((self._points[index % self.n_points],))
+    def _on_reset(self, index, p):
+        self._core = deque((p,))
         self._chars = self._lean = None
         self._dirs = ()
         self._steps = [0] * 9
-        return True
 
     def grow(self, positive: bool, limit: int) -> int:
         return self._run(0, False, positive, limit)
@@ -658,7 +646,7 @@ class MaxLenRecognizer(Recognizer):
         self.k = k
 
     def _on_reset(self, index, p):
-        return True
+        pass
 
     def _on_remove(self, index, p):
         pass
@@ -707,7 +695,6 @@ class MonotoneRecognizer(Recognizer):
     def _on_reset(self, index, p):
         self._rising = 0
         self._falling = 0
-        return True
 
     def _coord(self, index: int) -> int:
         return self._points[index % self.n_points][self.axis]
@@ -775,7 +762,6 @@ class BboxRecognizer(Recognizer):
         self._ys = {p[1]: 1}
         self._xmin = self._xmax = p[0]
         self._ymin = self._ymax = p[1]
-        return True
 
     def _try_add(self, index, p, positive):
         xmin = min(self._xmin, p[0])
@@ -812,17 +798,9 @@ class ContainsStartRecognizer(Recognizer):
 
     Deliberately NOT conservative (a sub-interval may miss index 0); it is
     shipped only so the conservativity checker has a known bad citizen to
-    detect, and must not be fed to the cover algorithms.
+    detect, and must not be fed to the cover algorithms: it has no hooks,
+    only the stateless check.
     """
-
-    def _on_reset(self, index, p):
-        return index == 0
-
-    def _try_add(self, index, p, positive):
-        return True  # a superset of a set containing index 0 still contains it
-
-    def _on_remove(self, index, p):
-        pass
 
     def _holds(self, iv: IndexInterval) -> bool:
         return -iv.start % self.n_points < iv.length

@@ -3,10 +3,10 @@ the predicate specs shared by the cover and arc-graph tests."""
 
 from satcover.pbm import image_from_ascii
 from satcover.predicates import PredicateSpec
-from satcover.verify import GRID_PREDICATES
+from satcover.verify import VERIFIED_PREDICATES
 
-# every grid predicate, and a non-square box
-GRID_SPECS = GRID_PREDICATES + (PredicateSpec("y_monotone"), PredicateSpec("bbox", {"w": 5, "h": 2}))
+# every verified predicate, and a non-square box
+GRID_SPECS = VERIFIED_PREDICATES + (PredicateSpec("bbox", {"w": 5, "h": 2}),)
 
 SEGMENT = "#####"
 

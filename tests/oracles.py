@@ -358,13 +358,12 @@ class ReferenceDssRecognizer(Recognizer):
 
     # -- hooks ---------------------------------------------------------------
 
-    def _on_reset(self, index: int, p: Point) -> bool:
+    def _on_reset(self, index: int, p: Point) -> None:
         self._counts = {p: 1}
         self._core = deque([p])
         self._chars = None
         self._lean = None
         self._steps = {}
-        return True
 
     def _try_add(self, index: int, p: Point, positive: bool) -> bool:
         # band membership is a property of the point multiset, so the

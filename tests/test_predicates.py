@@ -98,7 +98,7 @@ def test_dss_long_digitized_line_all_extensions_succeed():
     pts = tuple((x, (2 * x + 1) // 5) for x in range(1000))
     path = DigitalPath(pts, adjacency=Adjacency.EIGHT)
     rec = DssRecognizer(path)
-    assert rec.reset(0)
+    rec.reset(0)
     for _ in range(999):
         assert rec.grow(True, 1) == 1
 
@@ -220,7 +220,7 @@ class HookMaxLen(Recognizer):
         self.k = k
 
     def _on_reset(self, index, p):
-        return True
+        pass
 
     def _try_add(self, index, p, positive):
         return self._length < self.k
@@ -365,12 +365,21 @@ def test_extension_mechanics(spec):
 
 @pytest.mark.parametrize("spec", SHIPPED, ids=lambda s: s.name)
 def test_singletons_always_true(spec):
+    """Every predicate holds on every singleton, which the sweeps never
+    test: `reset` represents the singleton at any index for one call,
+    whatever the earlier runs left, and then grows as a fresh recognizer
+    does."""
     rng = random.Random(5)
     for _ in range(20):
         path = random_grid_path(rng)
         rec = make_recognizer(spec, path)
         for i in range(path.n_points):
-            assert rec.reset(i)
+            calls = rec.calls
+            rec.reset(i)
+            assert rec.interval == IndexInterval(i, 1) and rec.calls == calls + 1
+            fresh = make_recognizer(spec, path)
+            fresh.reset(i)
+            assert rec.grow(True, path.n_points) == fresh.grow(True, path.n_points), (spec, path.points, i)
 
 
 def test_recognizer_state_is_path_independent():
@@ -380,8 +389,7 @@ def test_recognizer_state_is_path_independent():
         spec = rng.choice(SHIPPED)
         rec = make_recognizer(spec, path)
         fresh = make_recognizer(spec, path)
-        if not rec.reset(rng.randrange(path.n_points)):
-            continue
+        rec.reset(rng.randrange(path.n_points))
         for _ in range(40):
             r = rng.random()
             if r < 0.45:
@@ -399,8 +407,7 @@ def test_removal_equivalent_to_fresh_recognizer():
         path = random_grid_path(rng, max_points=40)
         spec = rng.choice(SHIPPED)
         rec = make_recognizer(spec, path)
-        if not rec.reset(rng.randrange(path.n_points)):
-            continue
+        rec.reset(rng.randrange(path.n_points))
         for _ in range(rng.randint(1, 25)):
             if not rec.grow(True, 1) == 1:
                 break
@@ -419,7 +426,7 @@ def test_removal_equivalent_to_fresh_recognizer():
 def test_extend_failure_leaves_state_unchanged():
     path = DigitalPath(((0, 0), (1, 0), (2, 0), (2, 1), (2, 2)), adjacency=Adjacency.FOUR)
     rec = make_recognizer(PredicateSpec("bbox", {"w": 2, "h": 2}), path)
-    assert rec.reset(1)
+    rec.reset(1)
     assert rec.grow(True, 1) == 1
     iv = rec.interval
     assert not rec.grow(False, 1) == 1  # (0,0) would make the box 3 wide
@@ -429,9 +436,9 @@ def test_extend_failure_leaves_state_unchanged():
 def test_boundary_blocks_extension():
     path = DigitalPath(((0, 0), (1, 0)))
     rec = make_recognizer(PredicateSpec("max_len", {"k": 5}), path)
-    assert rec.reset(1)
+    rec.reset(1)
     assert not rec.grow(True, 1) == 1
-    assert rec.reset(0)
+    rec.reset(0)
     assert not rec.grow(False, 1) == 1
 
 
@@ -446,7 +453,7 @@ def test_remove_from_singleton_is_an_error():
 def test_max_len_window():
     path = synth.random_walk_path(10, Adjacency.EIGHT, seed=8)
     rec = make_recognizer(PredicateSpec("max_len", {"k": 3}), path)
-    assert rec.reset(4)
+    rec.reset(4)
     assert rec.grow(True, 1) == 1
     assert rec.grow(False, 1) == 1
     assert not rec.grow(True, 1) == 1
