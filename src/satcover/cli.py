@@ -82,9 +82,6 @@ def _parse_params(items) -> dict:
 
 
 def _spec_from_args(args) -> PredicateSpec:
-    if any(info.name == args.predicate and not info.conservative for info in list_predicates()):
-        raise PredicateError(f"predicate {args.predicate!r} is not conservative; "
-                             "covers need a conservative predicate")
     return PredicateSpec(args.predicate, _parse_params(args.param))
 
 

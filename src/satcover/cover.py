@@ -21,7 +21,7 @@ from itertools import repeat
 from typing import Callable, Sequence
 
 from .paths import DigitalPath, IndexInterval
-from .predicates import PredicateSpec, Recognizer, make_recognizer
+from .predicates import _REGISTRY, PredicateError, PredicateSpec, Recognizer, make_recognizer
 
 
 class CoverCapError(ValueError):
@@ -54,6 +54,16 @@ class SaturatedCover:
         }
 
 
+def _recognizer(spec: PredicateSpec, path: DigitalPath) -> Recognizer:
+    """The recognizer of `spec` for a cover, refused for a predicate
+    registered as not conservative: its covers are not saturated covers."""
+    info = _REGISTRY.get(spec.name)
+    if info is not None and not info.conservative:
+        raise PredicateError(f"predicate {spec.name!r} is not conservative; "
+                             "covers need a conservative predicate")
+    return make_recognizer(spec, path)
+
+
 def _finish(path, spec, keys, rec: Recognizer) -> SaturatedCover:
     # tuple.__new__ makes each IndexInterval in C, with no Python frame
     segments = tuple(map(tuple.__new__, repeat(IndexInterval), sorted(keys)))
@@ -76,7 +86,7 @@ def _sweep(path: DigitalPath, spec: PredicateSpec, two_sided: bool) -> Saturated
     contains it.
     """
     n1 = path.n_points
-    rec = make_recognizer(spec, path)
+    rec = _recognizer(spec, path)
     keys: dict[tuple[int, int], None] = {}
     closed = path.closed
 
@@ -150,7 +160,7 @@ def brute_force_cover(
     n1 = path.n_points
     if n1 > max_points:
         raise CoverCapError(f"path has {n1} points, above the brute-force cap {max_points}")
-    rec = make_recognizer(spec, path)
+    rec = _recognizer(spec, path)
     closed = path.closed
 
     lmax = [0] * n1

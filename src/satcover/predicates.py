@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -48,7 +47,8 @@ class Recognizer:
       past its positive end joins, or resets there, and then grows
       positively up to the path's boundary.
 
-    `remove_negative_end` and `holds` are runs of one.  The interval is
+    `remove_negative_end` is a run of one.  `holds` is stateless: it
+    replays an interval from a reset and counts one call.  The interval is
     `_start`, an unwrapped index, and `_length`; `room` gives how far it
     can grow on a side.
 
@@ -181,19 +181,16 @@ class Recognizer:
         self._length -= 1
 
     def holds(self, iv: IndexInterval) -> bool:
-        """Stateless evaluation, counted as one call whatever it replays.
+        """Stateless evaluation: replays the interval from its start,
+        counted as one call whatever it replays.
 
         Re-targets this recognizer (the previous state is discarded).
         """
         calls = self.calls
-        ok = self._holds(iv)
+        self.reset(iv.start)
+        ok = self.grow(True, iv.length - 1) == iv.length - 1
         self.calls = calls + 1
         return ok
-
-    def _holds(self, iv: IndexInterval) -> bool:
-        """Replay the interval from its start."""
-        self.reset(iv.start)
-        return self.grow(True, iv.length - 1) == iv.length - 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +202,9 @@ class Recognizer:
 # w = |a|+|b| on 4-connected ones.  Because the path moves by unit steps, the
 # *distinct* points of any band-feasible interval form a classic connected
 # segment in geometric order; the path may wander back and forth along it.
-# The recognizer therefore keeps a "core": the distinct points as a deque in
-# geometric order, carrying arithmetic characteristics (a, b, mu) and the
-# four leaning points.  A revisit leaves the core as it is; a new point must
-# extend the core.
+# That segment is the "core".  The recognizer keeps only its two ends, its
+# arithmetic characteristics (a, b, mu) and its four leaning points.  A
+# revisit leaves the core as it is; a new point must extend the core.
 #
 # A step (dx, dy) between core points is coded 3 * dx + dy, in -4..4; a
 # list of 9 counts indexed by the code holds the core's steps (a negative
@@ -252,6 +248,11 @@ class DssRecognizer(Recognizer):
 
     Whether a point is already in the interval is read from its occurrence
     gaps (`_gaps`), computed once per path, so no multiplicities are kept.
+    Only the two ends of the core are kept: a drop removes an end whose
+    last occurrence leaves, and the path's next point, still in the
+    interval and adjacent to it, is its one neighbour in the core (a core
+    is monotone along its main axis on 8-paths, along both step directions
+    on 4-paths), so it becomes the new end.
     """
 
     def __init__(self, path: DigitalPath):
@@ -261,7 +262,7 @@ class DssRecognizer(Recognizer):
         self._naive = path.adjacency is Adjacency.EIGHT
         self._codes = _STEP_CODES[path.adjacency]
         self._turns = _TURNS[path.adjacency]
-        self._core: deque = deque()
+        self._ends = [None, None]  # the first and the last core point
         self._chars = None  # (a, b, mu) or None while the core is a singleton
         # the band width w of _chars, updated with it
         self._width = 0
@@ -270,7 +271,7 @@ class DssRecognizer(Recognizer):
         self._lean = None
         self._dirs = ()  # the codes of the core's one or two step directions
         self._steps = [0] * 9  # occurrences of each step code in the core
-        self._prev = self._next = None  # see _gaps
+        self._prev, self._next = self._gaps()
         # attempts to add a point, revisits and refusals included
         self.extensions = 0
 
@@ -318,7 +319,7 @@ class DssRecognizer(Recognizer):
     # -- runs ------------------------------------------------------------------
 
     def _on_reset(self, index, p):
-        self._core = deque((p,))
+        self._ends = [p, p]
         self._chars = self._lean = None
         self._dirs = ()
         self._steps = [0] * 9
@@ -343,8 +344,6 @@ class DssRecognizer(Recognizer):
         positive (negative) side until an attempt fails or `limit` attempts
         are made, as `Recognizer.grow` does.  Returns the points added
         after the drops and the join."""
-        if self._prev is None:
-            self._prev, self._next = self._gaps()
         n1 = self.n_points
         closed = self._closed
         points = self._points
@@ -357,7 +356,7 @@ class DssRecognizer(Recognizer):
         turns = self._turns
         start = self._start
         length = self._length
-        core = self._core
+        ends = self._ends
         lean = self._lean
         counts = self._steps
         dirs = self._dirs
@@ -385,7 +384,7 @@ class DssRecognizer(Recognizer):
                     calls += 1
                     start += length
                     length = 1
-                    core = deque((points[start % n1],))
+                    ends[0] = ends[1] = points[start % n1]
                     for code in dirs:
                         counts[code] = 0
                     dirs = ()
@@ -400,19 +399,19 @@ class DssRecognizer(Recognizer):
                     # the last occurrence of p leaves the interval.  A point
                     # whose last occurrence leaves is always a geometric
                     # extremity: interior columns/rows stay visited as long
-                    # as the interval spans both sides of them.  `anchor` is
-                    # its neighbour in the core, and `sign` * (b, a) the
-                    # period pointing inward from its core end: +1 at the
-                    # first end, -1 at the last.
+                    # as the interval spans both sides of them.  `anchor`,
+                    # the path's next point, is its neighbour in the core
+                    # and the new end, and `sign` * (b, a) the period
+                    # pointing inward from its core end: +1 at the first
+                    # end, -1 at the last.
                     p = points[idx]
-                    if core[0] == p:
-                        core.popleft()
-                        anchor, end, sign = core[0], 0, 1
-                    elif core[-1] == p:
-                        core.pop()
-                        anchor, end, sign = core[-1], 1, -1
+                    if ends[0] == p:
+                        end, sign = 0, 1
+                    elif ends[1] == p:
+                        end, sign = 1, -1
                     else:
                         raise AssertionError(f"removed point {p} is interior to the segment core")
+                    anchor = ends[end] = points[(idx + 1) % n1]
                     code = sign * (3 * (anchor[0] - p[0]) + anchor[1] - p[1])
                     count = counts[code] - 1
                     counts[code] = count
@@ -432,9 +431,9 @@ class DssRecognizer(Recognizer):
                             u_far, l_far = lean[far], lean[2 + far]
                             inward = (p[0] + sign * b, p[1] + sign * a)
                             if p == u and u_far == inward and l == l_far:
-                                a, b, mu, om, lean = _turn(a, b, u_far, l, sign, core, naive)
+                                a, b, mu, om, lean = _turn(a, b, u_far, l, sign, ends, naive)
                             elif p == l and l_far == inward and u == u_far:
-                                a, b, mu, om, lean = _turn(a, b, u, l_far, -sign, core, naive)
+                                a, b, mu, om, lean = _turn(a, b, u, l_far, -sign, ends, naive)
                             else:
                                 # still two leaning points of one kind: the
                                 # line stays pinned
@@ -472,7 +471,7 @@ class DssRecognizer(Recognizer):
                 x, y = p
                 if not dirs:
                     # the first step: the line through both points, of width 1
-                    q = core[0]
+                    q = ends[0]
                     dx = x - q[0]
                     dy = y - q[1]
                     code = 3 * dx + dy
@@ -482,19 +481,18 @@ class DssRecognizer(Recognizer):
                         counts[code] = 1
                         dirs = (code,)
                         allowed = turns[code]
-                        core.append(p)
+                        ends[1] = p
                         ok = True
                 else:
                     r = a * x - b * y
                     # no end can take a point farther off the band
                     if mu - 1 <= r <= mu + om:
                         for end in (1, 0):  # the last core point first, then the first
+                            q = ends[end]
                             if end:
-                                q = core[-1]
                                 dx = x - q[0]
                                 dy = y - q[1]
                             else:
-                                q = core[0]
                                 dx = q[0] - x
                                 dy = q[1] - y
                             code = 3 * dx + dy
@@ -526,10 +524,7 @@ class DssRecognizer(Recognizer):
                             counts[code] = count + 1
                             if not count:
                                 allowed = dirs = dirs + (code,)
-                            if end:
-                                core.append(p)
-                            else:
-                                core.appendleft(p)
+                            ends[end] = p
                             ok = True
                             break
             if ok:
@@ -547,7 +542,6 @@ class DssRecognizer(Recognizer):
         self._length = length
         self.calls += calls
         self.extensions += extensions
-        self._core = core
         self._lean = lean
         self._dirs = dirs
         if dirs:
@@ -558,7 +552,7 @@ class DssRecognizer(Recognizer):
         return added
 
 
-def _turn(a: int, b: int, up: Point, low: Point, sigma: int, core, naive: bool) -> tuple:
+def _turn(a: int, b: int, up: Point, low: Point, sigma: int, ends, naive: bool) -> tuple:
     """New characteristics (a', b', mu'), band width and leaning points once
     the core has one upper leaning point `up` and one lower leaning point
     `low` left.
@@ -589,8 +583,7 @@ def _turn(a: int, b: int, up: Point, low: Point, sigma: int, core, naive: bool) 
     nb = (b + sigma * tx) // det
     na = (a + sigma * ty) // det
     om = sx * nb + sy * na
-    fx, fy = core[0]
-    ex, ey = core[-1]
+    (fx, fy), (ex, ey) = ends
     # the leaning points of each kind at the two core ends lie whole
     # periods (nb, na) back and ahead of the survivor of that kind; a
     # point's position along the core is its width-weighted offset, and
@@ -696,22 +689,14 @@ class MonotoneRecognizer(Recognizer):
         self._rising = 0
         self._falling = 0
 
-    def _coord(self, index: int) -> int:
-        return self._points[index % self.n_points][self.axis]
-
     def _try_add(self, index, p, positive):
         if self._closed and self._length + 1 == self.n_points:
-            # the add completes the full turn: the added point fills the
-            # last gap, and both of its joins appear
-            d_in = p[self.axis] - self._coord(index - 1)
-            d_out = self._coord(index + 1) - p[self.axis]
-            rising = (d_in > 0) + (d_out > 0)
-            falling = (d_in < 0) + (d_out < 0)
-            if (rising and (falling or self._falling)) or (falling and self._rising):
-                return False
-            self._rising += rising
-            self._falling += falling
-            return True
+            # the add completes the full turn, whose joins sum to zero: it
+            # is monotone only when every join is flat.  With the added
+            # point's two joins flat, the interval's joins sum to zero too,
+            # and being monotone, they are all flat already.
+            a = self.axis
+            return self._points[index - 1][a] == p[a] == self._points[(index + 1) % self.n_points][a]
         # the neighbour already in the interval, read inline; index - 1
         # wraps by negative indexing
         if positive:
@@ -802,7 +787,8 @@ class ContainsStartRecognizer(Recognizer):
     only the stateless check.
     """
 
-    def _holds(self, iv: IndexInterval) -> bool:
+    def holds(self, iv: IndexInterval) -> bool:
+        self.calls += 1
         return -iv.start % self.n_points < iv.length
 
 

@@ -170,9 +170,6 @@ def _walk(link: dict[int, int], steps, start: int) -> list[int]:
     return chain
 
 
-_DISCONNECTED = "expected a single connected component"
-
-
 def _curve_graphs(point: dict[int, Point], stride: int, adjacency: Adjacency):
     """The curve graph of every connected component of the pixels of
     `point`, ordered by smallest pixel, from one code byte per pixel id (see
@@ -300,16 +297,12 @@ def _image_graphs(img: BinaryImage, adjacency: Adjacency):
     return _curve_graphs(img._ids(), img.height + 2, adjacency)
 
 
-def _one_graph(img: BinaryImage, adjacency: Adjacency):
-    graphs, context = _image_graphs(img, adjacency)
-    if len(graphs) != 1:
-        raise TraceError(_DISCONNECTED)
-    return graphs[0], context
-
-
 def build_curve_graph(img: BinaryImage, adjacency: Adjacency) -> CurveGraph:
     """Graph of one connected raster component (see `_curve_graphs`)."""
-    return _one_graph(img, adjacency)[0]
+    graphs = _image_graphs(img, adjacency)[0]
+    if len(graphs) != 1:
+        raise TraceError("expected a single connected component")
+    return graphs[0]
 
 
 def components(img: BinaryImage, adjacency: Adjacency) -> list[frozenset[Point]]:

@@ -38,8 +38,11 @@ predicate module ran one point at a time before its runs became one loop:
 the base class's runs drive its three hooks, it counts each point's
 occurrences in a dict and keeps step vectors as tuples.  The one-loop
 recognizer must match it run for run: interval, characteristics, leaning
-points, core and calls.
+points, core ends and calls.
 
+`dss_core` rebuilds a DSS recognizer's core, which it does not keep, from
+the interval's distinct points: a walk from its first end, each step to
+the one unvisited adjacent point, which must end at its last end.
 `dss_replay` re-derives a DSS recognizer's state from its core points
 alone, by extending a fresh core one point at a time at either end; the
 O(1) retraction must leave the same state as this replay, and the replays
@@ -274,6 +277,27 @@ def dss_state(rec: DssRecognizer) -> tuple:
     return rec.characteristics(), lean, steps
 
 
+def dss_core(rec: DssRecognizer) -> list[Point]:
+    """The core of a DSS recognizer, first end to last, rebuilt from the
+    distinct points of its interval: a walk from `_ends[0]`, each step to
+    the one unvisited point adjacent to the last one.  AssertionError when
+    a step has no such point or more than one."""
+    n1 = rec.n_points
+    left = {rec._points[(rec._start + k) % n1] for k in range(rec.length)}
+    adjacency = Adjacency.EIGHT if rec._naive else Adjacency.FOUR
+    p = rec._ends[0]
+    left.remove(p)
+    core = [p]
+    while left:
+        nxt = [q for q in neighbours(p, adjacency) if q in left]
+        if len(nxt) != 1:
+            raise AssertionError(f"core walk at {p} has {len(nxt)} next points: {nxt}")
+        p = nxt[0]
+        left.remove(p)
+        core.append(p)
+    return core
+
+
 def dss_replay(core_points, adjacency: Adjacency, front: bool = True) -> tuple:
     """The core part of `dss_state` (characteristics, leaning points, step
     counts), rebuilt from scratch on a path of the core points, which are
@@ -290,7 +314,7 @@ def dss_replay(core_points, adjacency: Adjacency, front: bool = True) -> tuple:
     else:
         rec.reset(len(pts) - 2)
         grown = rec.grow(True, 1) == 1 and all(rec.grow(False, 1) == 1 for _ in pts[2:])
-    if not grown or list(rec._core) != pts:
+    if not grown or rec._ends != [pts[0], pts[-1]]:
         raise AssertionError("core replay failed; recognizer state corrupt")
     chars, lean, _ = dss_state(rec)
     steps = Counter((q[0] - p[0], q[1] - p[1]) for p, q in zip(pts, pts[1:]))

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import ALL_FIXTURES
+from fixtures import ALL_FIXTURES, unflagged_max_len
 from satcover.cli import main
 from satcover.paths import Adjacency, PathFormatError, path_from_json, path_to_json
 from satcover.pbm import BinaryImage, dump_p1, dump_p4, image_from_ascii
+from satcover.predicates import PredicateSpec
 from satcover.svg import render_trace_svg
 from satcover.trace import find_junctions, trace_image
 from satcover import synth
@@ -320,6 +321,19 @@ def test_probe_table(tmp_path, capsys):
     assert all(set(row) == {"n", "calls", "ratio", "seconds"} and row["seconds"] > 0
                for row in rows)
     assert [int(line.split()[0]) for line in lines] == [row["n"] for row in rows]
+
+
+def test_commands_refuse_predicates_registered_as_not_conservative(tmp_path, capsys):
+    """`cover`, `graph` and `probe` exit 2 with one message on `contains_start`
+    and on a hook-complete predicate registered as not conservative."""
+    src = write_path(tmp_path, synth.digitized_line_path(5, 0, 1))
+    with unflagged_max_len() as unflagged:
+        for spec in (PredicateSpec("contains_start"), unflagged):
+            params = [arg for key, value in spec.params.items() for arg in ("--param", f"{key}={value}")]
+            for argv in (["cover", str(src)], ["graph", str(src)], ["probe", "--sizes", "10"]):
+                assert main(argv + ["--predicate", spec.name] + params) == 2, argv
+                assert capsys.readouterr() == ("", f"error: predicate {spec.name!r} is not conservative; "
+                                                   "covers need a conservative predicate\n"), argv
 
 
 def test_list_predicates(capsys):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from fixtures import GRID_SPECS
+from fixtures import GRID_SPECS, unflagged_max_len
 from oracles import literal_cover
 from satcover import synth
 from satcover.arcs import build_arc_graph
@@ -30,8 +30,10 @@ from satcover import cover as cover_module
 from satcover.predicates import (
     DssRecognizer,
     MaxLenRecognizer,
+    PredicateError,
     PredicateSpec,
     Recognizer,
+    list_predicates,
     make_recognizer,
 )
 from satcover.trace import build_curve_graph, trace_image
@@ -502,6 +504,25 @@ def test_brute_force_cap():
     path = synth.random_walk_path(30, Adjacency.EIGHT, seed=5)
     with pytest.raises(CoverCapError):
         brute_force_cover(path, PredicateSpec("dss"), max_points=20)
+
+
+def test_covers_refuse_predicates_registered_as_not_conservative(monkeypatch):
+    """All three cover routes refuse `contains_start`, and a hook-complete
+    predicate registered as not conservative, with the command line's
+    message and before any recognizer is made."""
+    def no_recognizer(spec, path):
+        raise AssertionError(f"recognizer made for {spec.name}")
+
+    monkeypatch.setattr(cover_module, "make_recognizer", no_recognizer)
+    path = synth.digitized_circle_path(8)
+    with unflagged_max_len() as unflagged:
+        for spec in (PredicateSpec("contains_start"), unflagged):
+            message = f"predicate {spec.name!r} is not conservative; covers need a conservative predicate"
+            for route in (saturated_cover, forward_cover, brute_force_cover):
+                with pytest.raises(PredicateError) as refused:
+                    route(path, spec)
+                assert str(refused.value) == message, route
+    assert "hook_max_len" not in [info.name for info in list_predicates()]
 
 
 def test_cover_json_schema_and_roundtrip():
