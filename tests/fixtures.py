@@ -13,7 +13,6 @@ from satcover.verify import VERIFIED_PREDICATES
 GRID_SPECS = VERIFIED_PREDICATES + (PredicateSpec("bbox", {"w": 5, "h": 2}),)
 
 
-
 class HookMaxLen(Recognizer):
     """max_len through the three hooks alone, run by the base class."""
 
